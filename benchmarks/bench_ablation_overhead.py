@@ -27,9 +27,11 @@ def test_ablation_assertion_cost(benchmark):
         "Shor N=15 (Figure 2)": build_shor_program().program,
     }
 
+    config = RunConfig(ensemble_size=16)
+
     def collect():
         return [
-            {"program": name, **{k: v for k, v in assertion_cost(program, 16).items() if k != "program" and k != "gates_per_breakpoint"}}
+            {"program": name, **{k: v for k, v in assertion_cost(program, config=config).items() if k != "program" and k != "gates_per_breakpoint"}}
             for name, program in programs.items()
         ]
 

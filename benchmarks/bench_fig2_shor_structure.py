@@ -10,7 +10,7 @@ the paper attaches to each structural boundary.
 
 from bench_helpers import print_table
 from repro.algorithms.shor import build_shor_program
-from repro.compiler import resource_report, split_at_assertions, validate_program
+from repro.compiler import build_execution_plan, resource_report, validate_program
 
 
 def test_fig2_shor_program_structure(benchmark):
@@ -47,7 +47,7 @@ def test_fig2_shor_program_structure(benchmark):
         ],
     )
 
-    breakpoints = split_at_assertions(program)
+    breakpoints = build_execution_plan(program).segments
     print_table(
         "Figure 2: assertion placement along the program structure",
         [

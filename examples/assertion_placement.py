@@ -4,14 +4,14 @@
 Shows the developer-facing side of the framework on a small compute/uncompute
 program: render it as a text circuit diagram, let the pattern scanner suggest
 and place assertions (Section 5.1.1), check them, lower the program to the
-{1-qubit, CNOT} basis and export the breakpoint programs to OpenQASM 2.0 — the
-same artefacts the paper's ScaffCC-based flow produces.
+{1-qubit, CNOT} basis and export it to OpenQASM 2.0 — the same artefacts the
+paper's ScaffCC-based flow produces.
 
 Run with:  python examples/assertion_placement.py
 """
 
 import repro
-from repro.compiler import lower_to_basis, resource_report, split_at_assertions
+from repro.compiler import build_execution_plan, lower_to_basis, resource_report
 from repro.lang import Program, auto_place_assertions, compute, control, draw, to_qasm, uncompute
 
 
@@ -64,9 +64,9 @@ def main() -> None:
     print(report.summary())
     print()
 
-    print("Breakpoint programs emitted by the splitter (as in the ScaffCC flow):")
-    for breakpoint_program in split_at_assertions(program):
-        print(f"  - {breakpoint_program.describe()}")
+    print("Plan segments emitted by the splitter (one per ScaffCC breakpoint version):")
+    for segment in build_execution_plan(program).segments:
+        print(f"  - {segment.describe()}")
     print()
 
     lowered = lower_to_basis(program.without_assertions())

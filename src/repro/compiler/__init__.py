@@ -18,20 +18,12 @@ from .passes import (
     resource_report,
     validate_program,
 )
-from .splitter import (
-    BreakpointProgram,
-    ExecutionPlan,
-    PlanSegment,
-    build_execution_plan,
-    split_at_assertions,
-)
+from .splitter import ExecutionPlan, PlanSegment, build_execution_plan
 
 __all__ = [
-    "BreakpointProgram",
     "PlanSegment",
     "ExecutionPlan",
     "build_execution_plan",
-    "split_at_assertions",
     "BreakpointExecutor",
     "BreakpointMeasurements",
     "ObservableMeasurements",

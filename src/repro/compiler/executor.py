@@ -41,7 +41,7 @@ shared — so seeded runs stay reproducible under any batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from ..observables.grouping import MeasurementSetting, group_terms
 from ..sim import gates as _gates
 from ..sim.backend import SimulationBackend
 from ..sim.measurement import MeasurementEnsemble, ReadoutErrorModel
-from ..sim.noise import KrausChannel, NoiseModel
 from ..sim.memory import dense_qubit_budget
 from ..sim.registry import (
     backend_capabilities,
@@ -69,7 +68,7 @@ from ..sim.registry import (
 )
 from ..sim.trajectory_backend import spawn_trajectory_streams
 from .plan_cache import PlanCache, SnapshotSet, default_plan_cache
-from .splitter import BreakpointProgram, ExecutionPlan, build_execution_plan
+from .splitter import ExecutionPlan, PlanSegment, build_execution_plan
 
 __all__ = [
     "BreakpointMeasurements",
@@ -82,7 +81,7 @@ __all__ = [
 class BreakpointMeasurements:
     """Ensembles collected at one breakpoint, pre-sliced per assertion operand."""
 
-    breakpoint: BreakpointProgram
+    breakpoint: PlanSegment
     #: Joint ensemble over every qubit the assertion mentions (order = assertion.qubits()).
     joint: MeasurementEnsemble
     #: Ensemble of the first operand group (classical/superposition: the whole register).
@@ -105,78 +104,33 @@ class ObservableMeasurements:
     ``ensembles`` stays empty.
     """
 
-    breakpoint: BreakpointProgram
+    breakpoint: PlanSegment
     settings: "tuple[MeasurementSetting, ...]"
     ensembles: "list[MeasurementEnsemble | None]"
     exact: "object | None" = None
 
 
 class BreakpointExecutor:
-    """Runs breakpoint plans/programs and produces measurement ensembles."""
+    """Runs execution plans and produces measurement ensembles.
 
-    def __init__(
-        self,
-        config=None,
-        *,
-        ensemble_size: int | None = None,
-        rng: np.random.Generator | int | None = None,
-        mode: str | None = None,
-        readout_error: ReadoutErrorModel | None = None,
-        backend: "str | SimulationBackend | Callable[[], SimulationBackend] | None" = None,
-        noise: "NoiseModel | KrausChannel | Sequence[KrausChannel] | None" = None,
-    ):
-        # The executor is the mechanism layer: it accepts a RunConfig (the
-        # blessed path — Session/checker construct it this way) and still
-        # takes the individual knobs for direct low-level use; explicit
-        # knobs override the config.  The knobs are keyword-only so a
-        # historical positional call fails loudly at the call site instead
-        # of deep inside RunConfig validation.
+    Configured by one :class:`repro.RunConfig` (or a mapping, or ``None``
+    for defaults).  ``rng`` optionally supplies a live generator — the
+    checker and :class:`repro.Session` share one stream across runs —
+    otherwise the executor seeds its own from ``config.seed``.
+    """
+
+    def __init__(self, config=None, *, rng: np.random.Generator | None = None):
         from ..core.config import RunConfig  # runtime import: core imports us
 
-        if isinstance(config, (int, np.integer)) and not isinstance(config, bool):
-            # Oldest positional spelling: first argument was ensemble_size.
-            if ensemble_size is None:
-                ensemble_size = int(config)
-            config = None
-        base = RunConfig.coerce(config, caller="BreakpointExecutor")
-        overrides = {}
-        if ensemble_size is not None:
-            overrides["ensemble_size"] = ensemble_size
-        if mode is not None:
-            overrides["mode"] = mode
-        if readout_error is not None:
-            overrides["readout_error"] = readout_error
-        if backend is not None:
-            overrides["backend"] = backend
-        if noise is not None:
-            overrides["noise"] = noise
-        live_rng = rng if isinstance(rng, np.random.Generator) else None
-        if rng is not None and live_rng is None:
-            overrides["seed"] = rng
-        self._configure(base.replace(**overrides) if overrides else base, live_rng)
-
-    @classmethod
-    def from_config(
-        cls, config, *, rng: np.random.Generator | None = None
-    ) -> "BreakpointExecutor":
-        """Construct from a :class:`repro.RunConfig`.
-
-        ``rng`` optionally supplies a live generator (the checker/Session
-        share one stream across runs); otherwise the executor seeds its own
-        from ``config.seed``.
-        """
-        executor = cls.__new__(cls)
-        executor._configure(config, rng)
-        return executor
-
-    def _configure(self, config, rng: np.random.Generator | None) -> None:
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            raise TypeError(
+                "rng must be a live numpy Generator or None; pass integer "
+                f"seeds as RunConfig(seed=...), got {type(rng)!r}"
+            )
+        config = RunConfig.coerce(config, caller="BreakpointExecutor")
         self.config = config
         self.ensemble_size = config.ensemble_size
-        self.rng = (
-            rng
-            if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(config.seed)
-        )
+        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.mode = config.mode
         self.noise = config.noise
         if config.readout_error is not None:
@@ -252,9 +206,9 @@ class BreakpointExecutor:
         """
         if self.mode == "rerun":
             return [
-                self.run(bp)
-                for bp in plan.breakpoint_programs()
-                if bp.index not in skip_indices
+                self.run(plan, segment.index)
+                for segment in plan.segments
+                if segment.index not in skip_indices
             ]
         backend_key = self._snapshot_backend_key(plan) if not skip_indices else None
         if backend_key is not None:
@@ -268,7 +222,6 @@ class BreakpointExecutor:
         native, displaced = self._install_readout(engine)
         gates_before_walk = engine.gates_applied
         dense_before_walk = engine.statevector_gates_applied
-        breakpoint_views = plan.breakpoint_programs()
         recorder = (
             SnapshotSet(backend_name=backend_key, engine=engine)
             if backend_key is not None
@@ -276,7 +229,7 @@ class BreakpointExecutor:
         )
         results: list[BreakpointMeasurements] = []
         try:
-            for segment, view in zip(plan.segments, breakpoint_views):
+            for segment in plan.segments:
                 run_instructions(program, segment.instructions, engine, rng=self.rng)
                 if segment.index in skip_indices:
                     continue
@@ -286,7 +239,7 @@ class BreakpointExecutor:
                     # walk state is snapshot/restore-bracketed inside.
                     results.append(
                         self._measure_observable(
-                            view, program, engine, native_readout=native
+                            segment, program, engine, native_readout=native
                         )
                     )
                     continue
@@ -301,7 +254,7 @@ class BreakpointExecutor:
                     recorder.indices.append(indices)
                 results.append(
                     self._package(
-                        view,
+                        segment,
                         indices,
                         samples,
                         native_readout=native,
@@ -361,13 +314,13 @@ class BreakpointExecutor:
         native, displaced = self._install_readout(engine)
         results: list[BreakpointMeasurements] = []
         try:
-            for view, token, indices in zip(
-                plan.breakpoint_programs(), cached.tokens, cached.indices
+            for segment, token, indices in zip(
+                plan.segments, cached.tokens, cached.indices
             ):
                 engine.restore(token)
                 samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
                 results.append(
-                    self._package(view, indices, samples, native_readout=native)
+                    self._package(segment, indices, samples, native_readout=native)
                 )
         finally:
             self._restore_readout(engine, native, displaced)
@@ -379,18 +332,22 @@ class BreakpointExecutor:
         return self.run_plan(self.plan_for(program))
 
     # ------------------------------------------------------------------
-    # Legacy per-breakpoint execution (compatibility / "rerun" fidelity)
+    # Isolated per-breakpoint execution ("rerun" fidelity)
     # ------------------------------------------------------------------
 
-    def run(self, breakpoint_program: BreakpointProgram) -> BreakpointMeasurements:
-        """Collect the measurement ensemble for one breakpoint in isolation.
+    def run(
+        self, plan: ExecutionPlan, index: int
+    ) -> "BreakpointMeasurements | ObservableMeasurements":
+        """Collect the measurement ensemble for breakpoint ``index`` in isolation.
 
-        This is the paper's literal scheme: the whole prefix is re-simulated
+        This is the paper's literal scheme: the breakpoint's whole prefix is
+        materialised (:meth:`ExecutionPlan.prefix_program`) and re-simulated
         from ``|0...0>``.  :meth:`run_plan` is the cheaper equivalent when
         checking every breakpoint of a program.
         """
-        assertion = breakpoint_program.assertion
-        program = breakpoint_program.program
+        segment = plan.segments[index]
+        assertion = segment.assertion
+        program = plan.prefix_program(index)
         if isinstance(assertion, AssertObservableInstruction):
             # Observable breakpoints always simulate the (measurement-free)
             # prefix once and draw their per-setting ensembles from the
@@ -404,7 +361,7 @@ class BreakpointExecutor:
             try:
                 run_instructions(program, program.instructions, engine, rng=self.rng)
                 result = self._measure_observable(
-                    breakpoint_program, program, engine, native_readout=native
+                    segment, program, engine, native_readout=native
                 )
             finally:
                 self._restore_readout(engine, native, displaced)
@@ -422,15 +379,14 @@ class BreakpointExecutor:
             samples, native, weights = self._rerun_mode(program, indices)
 
         return self._package(
-            breakpoint_program, indices, samples, native_readout=native,
-            weights=weights,
+            segment, indices, samples, native_readout=native, weights=weights
         )
 
     # ------------------------------------------------------------------
 
     def _package(
         self,
-        breakpoint_program: BreakpointProgram,
+        segment: PlanSegment,
         indices: list[int],
         samples: Sequence[int],
         native_readout: bool = False,
@@ -444,17 +400,17 @@ class BreakpointExecutor:
         joint = MeasurementEnsemble(
             num_bits=len(indices),
             samples=samples,
-            label=breakpoint_program.name,
+            label=segment.name,
             weights=None if weights is None else list(weights),
         )
-        group_a, group_b = self._slice_groups(breakpoint_program.assertion, joint)
+        group_a, group_b = self._slice_groups(segment.assertion, joint)
         return BreakpointMeasurements(
-            breakpoint=breakpoint_program, joint=joint, group_a=group_a, group_b=group_b
+            breakpoint=segment, joint=joint, group_a=group_a, group_b=group_b
         )
 
     def _measure_observable(
         self,
-        breakpoint_program: BreakpointProgram,
+        segment: PlanSegment,
         program: Program,
         engine: SimulationBackend,
         native_readout: bool = False,
@@ -473,14 +429,14 @@ class BreakpointExecutor:
         from ..observables.estimation import rotation_ops
         from ..observables.exact import exact_estimate, tableau_engine
 
-        assertion = breakpoint_program.assertion
+        assertion = segment.assertion
         observable = assertion.observable
         settings = tuple(
             group_terms(observable, grouped=self.config.group_observables)
         )
         if self.readout_error.is_ideal and tableau_engine(engine) is not None:
             return ObservableMeasurements(
-                breakpoint=breakpoint_program,
+                breakpoint=segment,
                 settings=settings,
                 ensembles=[],
                 exact=exact_estimate(engine, observable),
@@ -515,14 +471,14 @@ class BreakpointExecutor:
                     MeasurementEnsemble(
                         num_bits=len(indices),
                         samples=samples,
-                        label=f"{breakpoint_program.name}:{setting.describe()}",
+                        label=f"{segment.name}:{setting.describe()}",
                         weights=weights,
                     )
                 )
         finally:
             engine.restore(token)
         return ObservableMeasurements(
-            breakpoint=breakpoint_program,
+            breakpoint=segment,
             settings=settings,
             ensembles=ensembles,
             exact=None,

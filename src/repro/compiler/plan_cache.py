@@ -22,8 +22,8 @@ This module removes that redundancy at two levels:
   stream-identical to a cold one — reuse is a pure work optimisation, never a
   statistics change.
 
-The process-global :func:`default_plan_cache` is wired into
-:meth:`repro.compiler.executor.BreakpointExecutor.from_config`; hit/miss
+The process-global :func:`default_plan_cache` is wired into every
+:class:`repro.compiler.executor.BreakpointExecutor`; hit/miss
 counters make the reuse observable from ``ExecutionPlan.describe()`` and
 ``repro.workloads.assertion_cost``.
 """

@@ -13,9 +13,8 @@ of :class:`PlanSegment`\\ s — the *delta* instructions between consecutive
 breakpoints.  Consecutive breakpoints share their common prefix, so an
 incremental executor (:mod:`repro.compiler.executor`) can walk the plan once,
 checkpoint at each breakpoint, and do O(total_gates) work overall.  The
-original per-breakpoint view is still available: :class:`BreakpointProgram`
-remains as a thin compatibility layer materialised on demand via
-:func:`split_at_assertions` or :meth:`ExecutionPlan.breakpoint_programs`.
+paper's per-version program for one breakpoint is materialised on demand by
+:meth:`ExecutionPlan.prefix_program`.
 """
 
 from __future__ import annotations
@@ -38,37 +37,8 @@ from ..lang.registers import Qubit
 __all__ = [
     "PlanSegment",
     "ExecutionPlan",
-    "BreakpointProgram",
     "build_execution_plan",
-    "split_at_assertions",
 ]
-
-
-@dataclass
-class BreakpointProgram:
-    """One breakpoint: a runnable prefix program plus the assertion to check.
-
-    Compatibility view over the plan: the prefix program replays every
-    non-assertion instruction before the breakpoint, exactly as the paper's
-    per-version compilation does.
-    """
-
-    index: int
-    name: str
-    program: Program
-    assertion: AssertionInstruction
-    #: Number of unitary gates executed before the breakpoint (for reporting).
-    gates_before: int
-
-    def measured_qubits(self) -> list:
-        """The qubits the early measurement at this breakpoint must read."""
-        return self.assertion.qubits()
-
-    def describe(self) -> str:
-        return (
-            f"breakpoint {self.index} ({self.name}): {self.gates_before} gates, "
-            f"{self.assertion.describe()}"
-        )
 
 
 @dataclass
@@ -200,8 +170,8 @@ class ExecutionPlan:
             )
         return total
 
-    def _materialize_prefix(self, index: int, instructions: list) -> Program:
-        """Build a prefix program from pre-validated instructions.
+    def prefix_program(self, index: int) -> Program:
+        """Materialise the full prefix program of breakpoint ``index``.
 
         The instructions were validated against the same registers when the
         source program was built, so they are placed directly instead of
@@ -210,34 +180,12 @@ class ExecutionPlan:
         prefix = Program(f"{self.program.name}_bp{index}")
         for register in self.program.registers:
             prefix.add_register(register)
-        prefix.instructions = instructions
-        return prefix
-
-    def prefix_program(self, index: int) -> Program:
-        """Materialise the full prefix program of breakpoint ``index``."""
-        instructions = [
+        prefix.instructions = [
             instruction
             for earlier in self.segments[: index + 1]
             for instruction in earlier.instructions
         ]
-        return self._materialize_prefix(index, instructions)
-
-    def breakpoint_programs(self) -> list[BreakpointProgram]:
-        """The legacy per-breakpoint view (one prefix program per assertion)."""
-        programs = []
-        cumulative: list = []
-        for segment in self.segments:
-            cumulative.extend(segment.instructions)
-            programs.append(
-                BreakpointProgram(
-                    index=segment.index,
-                    name=segment.name,
-                    program=self._materialize_prefix(segment.index, list(cumulative)),
-                    assertion=segment.assertion,
-                    gates_before=segment.gates_before,
-                )
-            )
-        return programs
+        return prefix
 
     def describe(self) -> str:
         lines = [
@@ -306,15 +254,3 @@ def build_execution_plan(program: Program) -> ExecutionPlan:
             raise TypeError(f"unexpected instruction type {type(instruction)!r}")
         pending.append(instruction)
     return plan
-
-
-def split_at_assertions(program: Program) -> list[BreakpointProgram]:
-    """Split ``program`` into one breakpoint program per assertion statement.
-
-    Compatibility wrapper over :func:`build_execution_plan`: each returned
-    :class:`BreakpointProgram` contains every non-assertion instruction that
-    precedes its assertion in the original program (gates, preparations,
-    barriers and block markers), materialised from the plan's shared-prefix
-    segments.
-    """
-    return build_execution_plan(program).breakpoint_programs()

@@ -3,9 +3,9 @@
 ``StatisticalAssertionChecker`` wires together the three stages described in
 Section 3.3 of the paper:
 
-1. the compiler splits the program into one breakpoint program per assertion
+1. the compiler splits the program into one plan segment per assertion
    (:mod:`repro.compiler.splitter`);
-2. the simulator runs an ensemble of executions for each breakpoint program
+2. the simulator runs an ensemble of executions at each breakpoint
    (:mod:`repro.compiler.executor`);
 3. the measurement results feed into chi-square statistical tests that decide
    whether each assertion held (:mod:`repro.core.assertions`).
@@ -28,11 +28,7 @@ from ..compiler.executor import (
     BreakpointMeasurements,
     ObservableMeasurements,
 )
-from ..compiler.splitter import (
-    BreakpointProgram,
-    ExecutionPlan,
-    split_at_assertions,
-)
+from ..compiler.splitter import ExecutionPlan, PlanSegment
 from ..lang.instructions import (
     AssertionInstruction,
     AssertObservableInstruction,
@@ -51,7 +47,7 @@ from .assertions import (
     ProductStateAssertion,
     SuperpositionAssertion,
 )
-from .config import RunConfig, resolve_run_config
+from .config import RunConfig
 from .exceptions import AssertionViolation
 from .report import BreakpointRecord, DebugReport
 from .statistics import (
@@ -99,15 +95,14 @@ def build_evaluator(assertion: AssertionInstruction, significance: float):
 class StatisticalAssertionChecker:
     """Checks every statistical assertion in a program via simulation.
 
-    The blessed construction path takes a :class:`repro.RunConfig`::
+    Construction takes a :class:`repro.RunConfig` (or a mapping fed
+    through :meth:`RunConfig.from_dict`, or ``None`` for defaults)::
 
         checker = StatisticalAssertionChecker(program, RunConfig(seed=7))
 
-    (or :meth:`from_config`, which additionally accepts a live shared rng —
-    that is how :class:`repro.Session` advances one stream across many
-    runs).  The historical kwarg bundle (``ensemble_size``, ``significance``,
-    ``rng``, ``mode``, ``backend``, ``readout_error``, ``noise``) still
-    works for one release but emits a :class:`DeprecationWarning`.
+    ``rng`` optionally supplies a live generator to draw from instead of
+    seeding a fresh stream from ``config.seed`` — that is how
+    :class:`repro.Session` advances one stream across many runs.
 
     ``config.backend`` accepts every registry spelling (``"statevector"``,
     ``"density"``, ``"stabilizer"``, an instance, a factory) and threads it
@@ -118,48 +113,19 @@ class StatisticalAssertionChecker:
     tableau before a single tableau→statevector conversion.
     """
 
-    def __init__(self, program: Program, config=None, **legacy):
-        resolved, rng = resolve_run_config(
-            config, legacy, caller="StatisticalAssertionChecker"
-        )
-        self._configure(program, resolved, rng)
-
-    @classmethod
-    def from_config(
-        cls,
+    def __init__(
+        self,
         program: Program,
         config: "RunConfig | Mapping | None" = None,
         *,
         rng: np.random.Generator | None = None,
-    ) -> "StatisticalAssertionChecker":
-        """Construct from a :class:`repro.RunConfig` without the legacy shim.
-
-        ``rng`` optionally supplies a live generator to draw from instead of
-        seeding a fresh stream from ``config.seed``.
-        """
-        config = RunConfig.coerce(
-            config, caller="StatisticalAssertionChecker.from_config"
-        )
-        checker = cls.__new__(cls)
-        checker._configure(program, config, rng)
-        return checker
-
-    def _configure(
-        self,
-        program: Program,
-        config: RunConfig,
-        rng: np.random.Generator | None,
-    ) -> None:
+    ):
         self.program = program
-        self.config = config
-        self.ensemble_size = config.ensemble_size
-        self.significance = config.significance
-        self.rng = (
-            rng
-            if isinstance(rng, np.random.Generator)
-            else np.random.default_rng(config.seed)
-        )
-        self.executor = BreakpointExecutor.from_config(config, rng=self.rng)
+        self.config = RunConfig.coerce(config, caller="StatisticalAssertionChecker")
+        self.ensemble_size = self.config.ensemble_size
+        self.significance = self.config.significance
+        self.executor = BreakpointExecutor(self.config, rng=rng)
+        self.rng = self.executor.rng
         #: Per-breakpoint convergence rows of the last
         #: :meth:`run_until_converged` call (empty otherwise).
         self.convergence: list[dict] = []
@@ -175,8 +141,8 @@ class StatisticalAssertionChecker:
         """
         return self.executor.plan_for(self.program)
 
-    def breakpoints(self) -> list[BreakpointProgram]:
-        return split_at_assertions(self.program)
+    def breakpoints(self) -> list[PlanSegment]:
+        return self.execution_plan().segments
 
     # ------------------------------------------------------------------
     # Static analysis (stabilizer abstract interpretation)
@@ -280,10 +246,9 @@ class StatisticalAssertionChecker:
         self._record_static_savings(plan, decided, full=True)
         return report
 
-    def evaluate_breakpoint(self, breakpoint_program: BreakpointProgram) -> AssertionOutcome:
-        """Run one breakpoint in isolation and evaluate its assertion."""
-        measurements = self.executor.run(breakpoint_program)
-        return self._evaluate(measurements)
+    def evaluate_breakpoint(self, index: int) -> AssertionOutcome:
+        """Run breakpoint ``index`` in isolation and evaluate its assertion."""
+        return self._evaluate(self.executor.run(self.execution_plan(), index))
 
     def _evaluate(self, measurements) -> AssertionOutcome:
         evaluator = build_evaluator(
@@ -310,22 +275,22 @@ class StatisticalAssertionChecker:
 
     def _sampled_record(self, measurements) -> BreakpointRecord:
         """Build the report record for one executor measurement bundle."""
-        breakpoint_program = measurements.breakpoint
+        segment = measurements.breakpoint
         outcome = self._evaluate(measurements)
         if isinstance(measurements, ObservableMeasurements):
             estimate = self._observable_estimate(measurements)
             return BreakpointRecord(
-                index=breakpoint_program.index,
-                name=breakpoint_program.name,
-                gates_before=breakpoint_program.gates_before,
+                index=segment.index,
+                name=segment.name,
+                gates_before=segment.gates_before,
                 outcome=outcome,
                 ensemble_size=int(round(estimate.total_shots)),
                 method="observable",
             )
         return BreakpointRecord(
-            index=breakpoint_program.index,
-            name=breakpoint_program.name,
-            gates_before=breakpoint_program.gates_before,
+            index=segment.index,
+            name=segment.name,
+            gates_before=segment.gates_before,
             outcome=outcome,
             ensemble_size=measurements.joint.num_samples,
         )
@@ -577,7 +542,6 @@ def check_program(
     converge: bool | None = None,
     se_cutoff: float | None = None,
     max_batches: int | None = None,
-    **legacy,
 ) -> DebugReport:
     """One-shot convenience wrapper around :class:`StatisticalAssertionChecker`.
 
@@ -585,12 +549,10 @@ def check_program(
     :meth:`~StatisticalAssertionChecker.run_until_converged` path — growing
     each breakpoint's trajectory ensemble until its worst per-category
     standard error drops to ``se_cutoff`` — and attaches the per-breakpoint
-    convergence rows to the returned report.  Legacy kwargs
-    (``ensemble_size=…`` etc.) still work but emit a
-    :class:`DeprecationWarning`; pass a :class:`repro.RunConfig` instead.
+    convergence rows to the returned report.
     """
-    resolved, rng = resolve_run_config(config, legacy, caller="check_program")
-    checker = StatisticalAssertionChecker.from_config(program, resolved, rng=rng)
+    resolved = RunConfig.coerce(config, caller="check_program")
+    checker = StatisticalAssertionChecker(program, resolved)
     if converge is None:
         # Passing a convergence knob states convergence intent; silently
         # running fixed-size would drop the caller's cutoff on the floor.

@@ -1,13 +1,13 @@
 """`RunConfig`: the frozen, validated, serializable run configuration.
 
-Four PRs of backend growth left the checking pipeline configured through a
-seven-kwarg bundle (``ensemble_size``, ``significance``, ``rng``, ``mode``,
-``backend``, ``readout_error``, ``noise``) copy-threaded through every layer.
-:class:`RunConfig` replaces that bundle with one first-class value:
+:class:`RunConfig` holds every knob of an assertion-checking run as one
+first-class value:
 
 * **frozen & validated** — every field is normalised and checked at
-  construction, so an invalid configuration fails where it is written, not
-  three layers down inside the executor;
+  construction (integer fields take only integers, flags only bools, and
+  bounds must be finite), so an invalid configuration — including one that
+  arrives as JSON — fails where it is written, not three layers down inside
+  the executor;
 * **derivable** — :meth:`RunConfig.replace` returns a new validated config
   with overrides applied (sweeps derive one config per sweep point);
 * **serializable** — :meth:`RunConfig.to_dict` / :meth:`RunConfig.from_dict`
@@ -19,19 +19,13 @@ seven-kwarg bundle (``ensemble_size``, ``significance``, ``rng``, ``mode``,
   (``None`` keeps OS entropy).  Live ``numpy.random.Generator`` objects are
   deliberately rejected: a generator is unseedable state, not configuration —
   hold one in a :class:`repro.Session` instead.
-
-The module also hosts the deprecation shim (:func:`resolve_run_config`) that
-keeps the legacy kwarg spellings working for one release: every public entry
-point (``StatisticalAssertionChecker``, ``check_program``, the
-``repro.workloads`` sweeps) folds old-style kwargs into a ``RunConfig`` and
-emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,27 +37,7 @@ from ..sim.measurement import ReadoutErrorModel
 from ..sim.noise import KrausChannel, NoiseModel
 from .assertions import DEFAULT_SIGNIFICANCE
 
-__all__ = [
-    "RunConfig",
-    "LEGACY_RUN_KWARGS",
-    "resolve_run_config",
-    "UNSET",
-]
-
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``
-#: in the legacy-kwarg shims (several legacy kwargs default to ``None``).
-UNSET = object()
-
-#: The legacy kwarg bundle the RunConfig replaces, in its historical order.
-LEGACY_RUN_KWARGS = (
-    "ensemble_size",
-    "significance",
-    "rng",
-    "mode",
-    "backend",
-    "readout_error",
-    "noise",
-)
+__all__ = ["RunConfig"]
 
 _MODES = ("sample", "rerun")
 
@@ -107,6 +81,55 @@ def _normalise_noise(noise) -> NoiseModel | None:
     if noise is None or isinstance(noise, NoiseModel):
         return noise
     return NoiseModel.from_channels(noise)
+
+
+def _as_number(name: str, value) -> float:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_int(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int >= ``minimum`` (0 or 1); bools and floats fail."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be {kind}, got {value}")
+    return int(value)
+
+
+def _check_bool(name: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _check_fraction(name: str, value) -> float:
+    """``value`` as a float strictly inside (0, 1)."""
+    number = _as_number(name, value)
+    if not 0.0 < number < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {number}")
+    return number
+
+
+def _check_float(
+    name: str, value, *, positive: bool, allow_inf: bool = False
+) -> float:
+    """``value`` as a finite float > 0 (``positive``) or >= 0.
+
+    ``allow_inf`` admits an explicit ``inf`` (an unbounded timeout); NaN is
+    always refused, since ``nan <= 0`` would otherwise slip past the bound.
+    """
+    number = _as_number(name, value)
+    in_range = number > 0.0 if positive else number >= 0.0
+    if not in_range or not (math.isfinite(number) or allow_inf):
+        kind = "positive" if positive else "non-negative"
+        finite = "" if allow_inf else "finite "
+        raise ValueError(f"{name} must be a {finite}{kind} number, got {number}")
+    return number
 
 
 # -- JSON helpers -----------------------------------------------------------
@@ -285,16 +308,13 @@ class RunConfig:
     backoff_base: float = 0.05
 
     def __post_init__(self) -> None:
-        ensemble_size = int(self.ensemble_size)
-        if ensemble_size <= 0:
-            raise ValueError("ensemble_size must be positive")
-        object.__setattr__(self, "ensemble_size", ensemble_size)
+        def normalise(name, check, *args, optional=False, **kwargs):
+            value = getattr(self, name)
+            if not (optional and value is None):
+                object.__setattr__(self, name, check(name, value, *args, **kwargs))
 
-        significance = float(self.significance)
-        if not 0.0 < significance < 1.0:
-            raise ValueError("significance must be in (0, 1)")
-        object.__setattr__(self, "significance", significance)
-
+        normalise("ensemble_size", _check_int, 1)
+        normalise("significance", _check_fraction)
         object.__setattr__(self, "seed", _normalise_seed(self.seed))
 
         if self.mode not in _MODES:
@@ -313,66 +333,17 @@ class RunConfig:
         )
         object.__setattr__(self, "noise", _normalise_noise(self.noise))
 
-        object.__setattr__(self, "converge", bool(self.converge))
-
-        se_cutoff = float(self.se_cutoff)
-        if not 0.0 < se_cutoff < 1.0:
-            raise ValueError(f"se_cutoff must be in (0, 1), got {se_cutoff}")
-        object.__setattr__(self, "se_cutoff", se_cutoff)
-
-        max_batches = int(self.max_batches)
-        if max_batches <= 0:
-            raise ValueError("max_batches must be positive")
-        object.__setattr__(self, "max_batches", max_batches)
-
-        object.__setattr__(self, "shard", bool(self.shard))
-        object.__setattr__(self, "static_preflight", bool(self.static_preflight))
-
-        if self.max_workers is not None:
-            max_workers = int(self.max_workers)
-            if max_workers <= 0:
-                raise ValueError("max_workers must be positive (or None)")
-            object.__setattr__(self, "max_workers", max_workers)
-
-        if self.max_dense_qubits is not None:
-            max_dense_qubits = int(self.max_dense_qubits)
-            if max_dense_qubits <= 0:
-                raise ValueError("max_dense_qubits must be positive (or None)")
-            object.__setattr__(self, "max_dense_qubits", max_dense_qubits)
-
-        if self.max_support is not None:
-            max_support = int(self.max_support)
-            if max_support <= 0:
-                raise ValueError("max_support must be positive (or None)")
-            object.__setattr__(self, "max_support", max_support)
-
-        if self.max_seconds is not None:
-            max_seconds = float(self.max_seconds)
-            if max_seconds <= 0.0:
-                raise ValueError("max_seconds must be positive (or None)")
-            object.__setattr__(self, "max_seconds", max_seconds)
-
-        observable_shots = int(self.observable_shots_per_setting)
-        if observable_shots <= 0:
-            raise ValueError("observable_shots_per_setting must be positive")
-        object.__setattr__(self, "observable_shots_per_setting", observable_shots)
-        object.__setattr__(self, "group_observables", bool(self.group_observables))
-
-        if self.job_timeout is not None:
-            job_timeout = float(self.job_timeout)
-            if job_timeout <= 0.0:
-                raise ValueError("job_timeout must be positive (or None)")
-            object.__setattr__(self, "job_timeout", job_timeout)
-
-        max_retries = int(self.max_retries)
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        object.__setattr__(self, "max_retries", max_retries)
-
-        backoff_base = float(self.backoff_base)
-        if backoff_base < 0.0:
-            raise ValueError("backoff_base must be non-negative")
-        object.__setattr__(self, "backoff_base", backoff_base)
+        for name in ("converge", "shard", "static_preflight", "group_observables"):
+            normalise(name, _check_bool)
+        normalise("se_cutoff", _check_fraction)
+        for name in ("max_batches", "observable_shots_per_setting"):
+            normalise(name, _check_int, 1)
+        for name in ("max_workers", "max_dense_qubits", "max_support"):
+            normalise(name, _check_int, 1, optional=True)
+        normalise("max_retries", _check_int, 0)
+        for name in ("max_seconds", "job_timeout"):
+            normalise(name, _check_float, positive=True, allow_inf=True, optional=True)
+        normalise("backoff_base", _check_float, positive=False)
 
     # ------------------------------------------------------------------
 
@@ -449,12 +420,9 @@ class RunConfig:
     def from_dict(cls, data: Mapping) -> "RunConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Accepts the legacy ``"rng"`` key as an alias for ``"seed"`` and
-        rejects unknown keys (typos must not silently change a run).
+        Unknown keys are rejected (typos must not silently change a run).
         """
         payload = dict(data)
-        if "rng" in payload and "seed" not in payload:
-            payload["seed"] = payload.pop("rng")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -476,59 +444,3 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
-
-
-# -- legacy-kwarg shim ------------------------------------------------------
-
-
-def resolve_run_config(
-    config=None,
-    legacy: Mapping | None = None,
-    *,
-    caller: str,
-    stacklevel: int = 3,
-) -> "tuple[RunConfig, np.random.Generator | None]":
-    """Merge a config argument and legacy kwargs into one ``RunConfig``.
-
-    Returns ``(config, rng_override)``; ``rng_override`` is a live generator
-    when the caller passed one through the legacy ``rng=`` kwarg (shared
-    streams are how the sweeps advance one stream across many runs).  Any
-    explicitly passed legacy kwarg emits one :class:`DeprecationWarning`
-    naming the caller and the replacement.
-
-    ``config`` may be a :class:`RunConfig`, a mapping (fed through
-    :meth:`RunConfig.from_dict`), a bare int (the oldest positional
-    ``ensemble_size`` spelling), or ``None``.
-    """
-    legacy = {
-        key: value
-        for key, value in dict(legacy or {}).items()
-        if value is not UNSET
-    }
-    unknown = set(legacy) - set(LEGACY_RUN_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword argument(s) {sorted(unknown)}"
-        )
-    if isinstance(config, (int, np.integer)) and not isinstance(config, bool):
-        # Oldest positional spelling: the second argument was ensemble_size.
-        legacy.setdefault("ensemble_size", int(config))
-        config = None
-    base = RunConfig.coerce(config, caller=caller)
-    rng_override: np.random.Generator | None = None
-    if legacy:
-        warnings.warn(
-            f"{caller}: passing {', '.join(sorted(legacy))} as keyword "
-            "argument(s) is deprecated; pass config=RunConfig(...) (or use "
-            "repro.session(...)) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        rng = legacy.pop("rng", None)
-        if isinstance(rng, np.random.Generator):
-            rng_override = rng
-        elif rng is not None:
-            legacy["seed"] = rng
-        if legacy:
-            base = base.replace(**legacy)
-    return base, rng_override

@@ -291,7 +291,7 @@ class LocalService:
         if not config.static_preflight:
             return None
         try:
-            checker = StatisticalAssertionChecker.from_config(program, config)
+            checker = StatisticalAssertionChecker(program, config)
             return checker.try_static_report()
         except Exception:
             # Static analysis must never take a submission down; the job

@@ -177,10 +177,10 @@ class TestControlledPhaseAndFullLowering:
     def test_lowered_adder_still_adds(self):
         from repro.algorithms.arithmetic import build_cadd_test_harness
         from repro.compiler import lower_to_basis
-        from repro.core import check_program
+        from repro.core import RunConfig, check_program
 
         program = lower_to_basis(build_cadd_test_harness())
-        report = check_program(program, ensemble_size=8, rng=3)
+        report = check_program(program, RunConfig(ensemble_size=8, seed=3))
         assert report.passed
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compiler import BreakpointExecutor, split_at_assertions
+from repro import RunConfig
+from repro.compiler import BreakpointExecutor, build_execution_plan
 from repro.lang import Program
 from repro.sim import ReadoutErrorModel
 
@@ -26,10 +27,10 @@ def program_with_three_breakpoints():
 class TestSplitter:
     def test_one_breakpoint_per_assertion(self):
         program, *_ = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
-        assert len(breakpoints) == 3
-        assert [bp.index for bp in breakpoints] == [0, 1, 2]
-        assert [bp.name for bp in breakpoints] == [
+        segments = build_execution_plan(program).segments
+        assert len(segments) == 3
+        assert [segment.index for segment in segments] == [0, 1, 2]
+        assert [segment.name for segment in segments] == [
             "prep check",
             "superposition check",
             "entangled check",
@@ -37,55 +38,60 @@ class TestSplitter:
 
     def test_prefixes_are_cumulative(self):
         program, *_ = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
-        assert [bp.gates_before for bp in breakpoints] == [0, 2, 3]
+        plan = build_execution_plan(program)
+        assert [segment.gates_before for segment in plan.segments] == [0, 2, 3]
         # Earlier assertions are never replayed inside later prefixes.
-        assert all(len(bp.program.assertions()) == 0 for bp in breakpoints)
+        assert all(
+            len(plan.prefix_program(i).assertions()) == 0
+            for i in range(plan.num_breakpoints)
+        )
 
     def test_terminal_measurement_excluded_from_prefixes(self):
         program, *_ = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
+        plan = build_execution_plan(program)
         from repro.lang.instructions import MeasureInstruction
 
-        for bp in breakpoints:
+        for i in range(plan.num_breakpoints):
             assert not any(
-                isinstance(i, MeasureInstruction) for i in bp.program.instructions
+                isinstance(instruction, MeasureInstruction)
+                for instruction in plan.prefix_program(i).instructions
             )
 
     def test_no_assertions_gives_no_breakpoints(self):
         program = Program()
         q = program.qreg("q", 1)
         program.h(q[0])
-        assert split_at_assertions(program) == []
+        assert build_execution_plan(program).segments == []
 
     def test_breakpoint_programs_share_registers(self):
         program, a, b = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
-        for bp in breakpoints:
-            assert bp.program.qubit_index(a[0]) == program.qubit_index(a[0])
-            assert bp.program.qubit_index(b[0]) == program.qubit_index(b[0])
+        plan = build_execution_plan(program)
+        for i in range(plan.num_breakpoints):
+            prefix = plan.prefix_program(i)
+            assert prefix.qubit_index(a[0]) == program.qubit_index(a[0])
+            assert prefix.qubit_index(b[0]) == program.qubit_index(b[0])
 
     def test_describe(self):
         program, *_ = program_with_three_breakpoints()
-        text = split_at_assertions(program)[1].describe()
-        assert "breakpoint 1" in text and "2 gates" in text
+        text = build_execution_plan(program).segments[1].describe()
+        assert "segment 1" in text and "cumulative 2" in text
 
 
 class TestExecutor:
     def test_classical_breakpoint_samples(self, rng):
         program, *_ = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
-        executor = BreakpointExecutor(ensemble_size=12, rng=rng)
-        measurements = executor.run(breakpoints[0])
+        plan = build_execution_plan(program)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=12), rng=rng)
+        measurements = executor.run(plan, 0)
         assert measurements.joint.num_samples == 12
         assert set(measurements.group_a.samples) == {2}
         assert measurements.group_b is None
 
     def test_entangled_breakpoint_groups(self, rng):
         program, a, b = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
-        executor = BreakpointExecutor(ensemble_size=24, rng=rng)
-        measurements = executor.run(breakpoints[2])
+        plan = build_execution_plan(program)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=24), rng=rng)
+        measurements = executor.run(plan, 2)
         assert measurements.group_a.num_bits == 1
         assert measurements.group_b.num_bits == 1
         # a[0] and b[0] are perfectly correlated after the CNOT.
@@ -93,25 +99,31 @@ class TestExecutor:
 
     def test_rerun_mode_matches_statistics(self):
         program, *_ = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
-        executor = BreakpointExecutor(ensemble_size=40, rng=3, mode="rerun")
-        measurements = executor.run(breakpoints[1])
+        plan = build_execution_plan(program)
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=40, seed=3, mode="rerun")
+        )
+        measurements = executor.run(plan, 1)
         counts = measurements.group_a.counts()
         assert sum(counts.values()) == 40
         assert set(counts) <= {0, 1, 2, 3}
 
     def test_readout_error_is_applied(self):
         program, *_ = program_with_three_breakpoints()
-        breakpoints = split_at_assertions(program)
+        plan = build_execution_plan(program)
         executor = BreakpointExecutor(
-            ensemble_size=16, rng=0, readout_error=ReadoutErrorModel(p01=1.0, p10=1.0)
+            RunConfig(
+                ensemble_size=16,
+                seed=0,
+                readout_error=ReadoutErrorModel(p01=1.0, p10=1.0),
+            )
         )
-        measurements = executor.run(breakpoints[0])
+        measurements = executor.run(plan, 0)
         # Every bit flips, so the prepared value 2 reads as 1 (two-bit register).
         assert set(measurements.group_a.samples) == {1}
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            BreakpointExecutor(ensemble_size=0)
+            BreakpointExecutor(RunConfig(ensemble_size=0))
         with pytest.raises(ValueError):
-            BreakpointExecutor(mode="imaginary")
+            BreakpointExecutor({"mode": "imaginary"})

@@ -1,11 +1,11 @@
 """RunConfig / Session facade and backend-registry tests.
 
-This module is run with ``-W error::DeprecationWarning`` in CI: the new API
-must be deprecation-clean, and every *legacy* kwarg spelling must emit a
-DeprecationWarning (asserted via ``pytest.warns``, which is exempt from the
-strict filter).
+The suite runs with ``-W error::DeprecationWarning`` in CI: the API is
+deprecation-clean, and every removed legacy spelling fails loudly instead of
+warning.
 """
 
+import importlib
 import json
 import warnings
 
@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 import repro
+import repro.compiler
+import repro.core.config
+import repro.sim
+import repro.sim.backend
 from repro import Program, RunConfig, Session, check_program, session
 from repro.core import DebugReport, StatisticalAssertionChecker
 from repro.core.exceptions import AssertionViolation
+from repro.compiler import ExecutionPlan
 from repro.compiler.executor import BreakpointExecutor
 from repro.compiler.plan_cache import default_plan_cache
 from repro.sim import (
@@ -32,7 +37,8 @@ from repro.sim import (
     unregister_backend,
 )
 from repro.sim.noise import NoiseModel
-from repro.workloads import detection_rate, ensemble_size_sweep
+from repro import workloads
+from repro.workloads import detection_rate
 
 SEED = 20190622
 
@@ -86,6 +92,41 @@ class TestRunConfigValidation:
         assert isinstance(RunConfig(seed=np.int64(7)).seed, int)
         assert RunConfig(seed=np.random.SeedSequence(99)).seed == 99
         assert RunConfig(seed=None).seed is None
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"ensemble_size": 16.9}, TypeError),
+            ({"ensemble_size": True}, TypeError),
+            ({"ensemble_size": "16"}, TypeError),
+            ({"max_batches": 2.5}, TypeError),
+            ({"max_retries": 0.5}, TypeError),
+            ({"max_workers": 2.0}, TypeError),
+            ({"observable_shots_per_setting": False}, TypeError),
+            ({"converge": "no"}, TypeError),
+            ({"shard": 1}, TypeError),
+            ({"static_preflight": "yes"}, TypeError),
+            ({"group_observables": 0}, TypeError),
+            ({"significance": "0.05"}, TypeError),
+            ({"job_timeout": float("nan")}, ValueError),
+            ({"max_seconds": float("nan")}, ValueError),
+            ({"backoff_base": float("nan")}, ValueError),
+            ({"backoff_base": float("inf")}, ValueError),
+            ({"se_cutoff": float("nan")}, ValueError),
+        ],
+        ids=lambda value: (
+            ",".join(f"{k}={v!r}" for k, v in value.items())
+            if isinstance(value, dict)
+            else value.__name__
+        ),
+    )
+    def test_outside_input_rejected_not_coerced(self, kwargs, error):
+        # JSON configs arrive over the service front: a bad value must be
+        # refused, never silently truncated or truth-tested into a run.
+        with pytest.raises(error):
+            RunConfig(**kwargs)
+        with pytest.raises(error):
+            RunConfig.from_json(json.dumps(kwargs))
 
     def test_live_generator_rejected_as_seed(self):
         with pytest.raises(TypeError, match="state, not configuration"):
@@ -156,9 +197,6 @@ class TestRunConfigSerialization:
         with pytest.raises(ValueError, match="unknown RunConfig keys"):
             RunConfig.from_dict({"ensemble_sise": 8})
 
-    def test_from_dict_accepts_legacy_rng_key(self):
-        assert RunConfig.from_dict({"rng": 11}).seed == 11
-
 
 # ---------------------------------------------------------------------------
 # Acceptance: one JSON blob pins a seeded run on every backend
@@ -178,13 +216,6 @@ class TestJsonBlobReproducibility:
             r.passed for r in second.records
         ]
         assert first.to_dict() == second.to_dict()
-
-    def test_blob_matches_legacy_kwargs(self):
-        blob = RunConfig(ensemble_size=16, seed=123).to_json()
-        modern = check_program(bell_program(), RunConfig.from_json(blob))
-        with pytest.warns(DeprecationWarning):
-            legacy = check_program(bell_program(), ensemble_size=16, rng=123)
-        assert modern.p_values() == legacy.p_values()
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +303,6 @@ class TestCheckProgramConverge:
         assert report.convergence and report.passed
         assert report.records[0].ensemble_size > 8
 
-    def test_positional_int_still_means_ensemble_size(self):
-        with pytest.warns(DeprecationWarning):
-            report = check_program(bell_program(), 8, rng=1)
-        assert report.ensemble_size == 8
-
     def test_convergence_knob_implies_converge(self):
         # Passing se_cutoff/max_batches without converge=True must not be
         # silently dropped — it states convergence intent.
@@ -299,49 +325,103 @@ class TestCheckProgramConverge:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: every legacy kwarg spelling warns but still works
+# Removed spellings: every compatibility layer is gone and fails loudly
 # ---------------------------------------------------------------------------
 
 
-LEGACY_CHECKER_KWARGS = [
-    {"ensemble_size": 8},
-    {"significance": 0.01},
-    {"rng": 7},
-    {"rng": None},  # explicit None still counts as the legacy spelling
-    {"mode": "rerun"},
-    {"backend": "statevector"},
-    {"readout_error": ReadoutErrorModel(p01=0.01, p10=0.01)},
-    {"noise": depolarizing(0.001)},
-]
+def _import_chemistry_pauli():
+    importlib.import_module("repro.chemistry.pauli")
 
 
-class TestDeprecationShims:
-    @pytest.mark.parametrize("kwargs", LEGACY_CHECKER_KWARGS)
-    def test_checker_legacy_kwargs_warn(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="StatisticalAssertionChecker"):
-            checker = StatisticalAssertionChecker(bell_program(), **kwargs)
-        assert checker.run().num_breakpoints == 2
+_CORRECT, _BUGGY = bell_program(), bell_program(with_bug=True)
 
-    @pytest.mark.parametrize("kwargs", LEGACY_CHECKER_KWARGS)
-    def test_check_program_legacy_kwargs_warn(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="check_program"):
-            report = check_program(bell_program(), **kwargs)
-        assert report.num_breakpoints == 2
+REMOVED_SPELLINGS = {
+    "check_program kwarg": (
+        lambda: check_program(_CORRECT, ensemble_size=8), TypeError
+    ),
+    "check_program positional int": (lambda: check_program(_CORRECT, 8), TypeError),
+    "checker kwarg": (
+        lambda: StatisticalAssertionChecker(_CORRECT, ensemble_size=8), TypeError
+    ),
+    "checker int rng": (
+        lambda: StatisticalAssertionChecker(_CORRECT, rng=7), TypeError
+    ),
+    "checker from_config": (
+        lambda: StatisticalAssertionChecker.from_config, AttributeError
+    ),
+    "executor kwarg": (lambda: BreakpointExecutor(ensemble_size=8), TypeError),
+    "executor positional int": (lambda: BreakpointExecutor(8), TypeError),
+    "executor int rng": (lambda: BreakpointExecutor(rng=7), TypeError),
+    "executor from_config": (lambda: BreakpointExecutor.from_config, AttributeError),
+    "detection_rate": (
+        lambda: workloads.detection_rate(_BUGGY, ensemble_size=8), TypeError
+    ),
+    "false_positive_rate": (
+        lambda: workloads.false_positive_rate(_CORRECT, rng=1), TypeError
+    ),
+    "ensemble_size_sweep": (
+        lambda: workloads.ensemble_size_sweep(_CORRECT, _BUGGY, rng=1), TypeError
+    ),
+    "significance_sweep": (
+        lambda: workloads.significance_sweep(_CORRECT, _BUGGY, ensemble_size=8),
+        TypeError,
+    ),
+    "readout_error_sweep": (
+        lambda: workloads.readout_error_sweep(_CORRECT, _BUGGY, backend="density"),
+        TypeError,
+    ),
+    "gate_noise_sweep": (
+        lambda: workloads.gate_noise_sweep(_CORRECT, _BUGGY, significance=0.01),
+        TypeError,
+    ),
+    "clifford_detection_sweep": (
+        lambda: workloads.clifford_detection_sweep(ensemble_size=8), TypeError
+    ),
+    "shor_gate_noise_sweep": (
+        lambda: workloads.shor_gate_noise_sweep(rng=1), TypeError
+    ),
+    "clifford_gate_noise_sweep": (
+        lambda: workloads.clifford_gate_noise_sweep(backend="stabilizer"), TypeError
+    ),
+    "observable_detection_sweep": (
+        lambda: workloads.observable_detection_sweep(ensemble_size=8), TypeError
+    ),
+    "assertion_cost positional": (
+        lambda: workloads.assertion_cost(_CORRECT, 16), TypeError
+    ),
+    "assertion_cost kwarg": (
+        lambda: workloads.assertion_cost(_CORRECT, ensemble_size=16), TypeError
+    ),
+    "from_dict rng key": (lambda: RunConfig.from_dict({"rng": 7}), ValueError),
+    "resolve_run_config": (
+        lambda: repro.core.config.resolve_run_config, AttributeError
+    ),
+    "chemistry.pauli module": (_import_chemistry_pauli, ModuleNotFoundError),
+    "sim.BACKENDS": (lambda: repro.sim.BACKENDS, AttributeError),
+    "sim.backend.make_backend": (
+        lambda: repro.sim.backend.make_backend, AttributeError
+    ),
+    "compiler.split_at_assertions": (
+        lambda: repro.compiler.split_at_assertions, AttributeError
+    ),
+    "compiler.BreakpointProgram": (
+        lambda: repro.compiler.BreakpointProgram, AttributeError
+    ),
+    "plan.breakpoint_programs": (
+        lambda: ExecutionPlan.breakpoint_programs, AttributeError
+    ),
+}
 
-    def test_sweep_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="detection_rate"):
-            rate = detection_rate(
-                bell_program(with_bug=True), ensemble_size=16, trials=2, rng=1
-            )
-        assert 0.0 <= rate <= 1.0
-        with pytest.warns(DeprecationWarning, match="ensemble_size_sweep"):
-            ensemble_size_sweep(
-                bell_program(),
-                bell_program(with_bug=True),
-                sizes=(8,),
-                trials=1,
-                rng=2,
-            )
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize(
+        "call, error",
+        REMOVED_SPELLINGS.values(),
+        ids=[name.replace(" ", "-") for name in REMOVED_SPELLINGS],
+    )
+    def test_removed_spelling_fails_loudly(self, call, error):
+        with pytest.raises(error):
+            call()
 
     def test_config_path_is_warning_free(self):
         with warnings.catch_warnings():
@@ -354,28 +434,15 @@ class TestDeprecationShims:
             )
             session(RunConfig(seed=1)).check(bell_program())
 
-    def test_legacy_generator_rng_still_shares_stream(self):
+    def test_live_generator_rng_shares_stream(self):
         generator = np.random.default_rng(SEED)
-        with pytest.warns(DeprecationWarning):
-            checker = StatisticalAssertionChecker(bell_program(), rng=generator)
+        checker = StatisticalAssertionChecker(bell_program(), rng=generator)
         assert checker.rng is generator
+        assert checker.executor.rng is generator
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             check_program(bell_program(), ensemble_sise=8)
-
-    def test_legacy_rng_seed_wins_over_session_stream(self):
-        # An explicit legacy rng seed must reseed the run, not be silently
-        # overwritten by the session's shared stream.
-        run = session(RunConfig(ensemble_size=16, seed=0))
-
-        def rate():
-            with pytest.warns(DeprecationWarning):
-                return detection_rate(
-                    bell_program(with_bug=True), trials=3, rng=3, session=run
-                )
-
-        assert rate() == rate()  # fresh seeded stream per call, not shared
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +453,18 @@ class TestDeprecationShims:
 class TestExecutorConfig:
     def test_from_config(self):
         config = RunConfig(ensemble_size=12, seed=9, mode="rerun", backend="density")
-        executor = BreakpointExecutor.from_config(config)
+        executor = BreakpointExecutor(config)
         assert executor.ensemble_size == 12
         assert executor.mode == "rerun"
         assert executor.backend == "density"
         assert executor.config is config
-
-    def test_kwargs_override_config(self):
-        executor = BreakpointExecutor(RunConfig(ensemble_size=4), ensemble_size=32)
-        assert executor.ensemble_size == 32
 
     def test_noise_model_readout_adopted_through_config(self):
         model = NoiseModel(
             gate_channels=(depolarizing(0.01),),
             readout=ReadoutErrorModel(p01=0.2, p10=0.2),
         )
-        executor = BreakpointExecutor.from_config(RunConfig(noise=model))
+        executor = BreakpointExecutor(RunConfig(noise=model))
         assert executor.readout_error.p01 == 0.2
 
 

@@ -20,8 +20,8 @@ from repro.algorithms.bell import build_bell_program
 from repro.algorithms.grover import build_grover_program
 from repro.algorithms.oracles import build_bernstein_vazirani_program
 from repro.algorithms.qft import build_qft_program, build_qft_test_harness
-from repro.compiler import lower_to_basis, split_at_assertions
-from repro.core import check_program
+from repro.compiler import build_execution_plan, lower_to_basis
+from repro.core import RunConfig, check_program
 from repro.lang import draw, from_qasm, to_qasm
 from repro.lang.instructions import GateInstruction
 
@@ -47,8 +47,9 @@ class TestQasmRoundTrips:
 
     def test_breakpoint_programs_serialise(self):
         program = build_qft_test_harness()
-        for breakpoint_program in split_at_assertions(program):
-            text = to_qasm(breakpoint_program.program)
+        plan = build_execution_plan(program)
+        for index in range(plan.num_breakpoints):
+            text = to_qasm(plan.prefix_program(index))
             assert text.startswith("OPENQASM 2.0;")
             assert "qreg reg[4];" in text
 
@@ -61,7 +62,7 @@ class TestQasmRoundTrips:
 class TestLoweringPreservesBehaviour:
     def test_lowered_adder_assertions_still_pass(self):
         lowered = lower_to_basis(build_cadd_test_harness())
-        report = check_program(lowered, ensemble_size=8, rng=1)
+        report = check_program(lowered, RunConfig(ensemble_size=8, seed=1))
         assert report.passed
 
     def test_lowered_bv_still_recovers_hidden_string(self):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.bugs import BUG_SCENARIOS
-from repro.compiler import BreakpointExecutor, build_execution_plan, split_at_assertions
+from repro import RunConfig
+from repro.compiler import BreakpointExecutor, build_execution_plan
 from repro.core import DEFAULT_SIGNIFICANCE, build_evaluator
 from repro.lang import Program
 from repro.sim import StatevectorBackend
@@ -21,14 +22,15 @@ SEED = 20190622
 
 def _legacy_measurements(program, ensemble_size, seed):
     """The paper's literal scheme: every breakpoint prefix re-simulated."""
-    executor = BreakpointExecutor(ensemble_size=ensemble_size, rng=seed)
-    measurements = [executor.run(bp) for bp in split_at_assertions(program)]
+    executor = BreakpointExecutor(RunConfig(ensemble_size=ensemble_size, seed=seed))
+    plan = build_execution_plan(program)
+    measurements = [executor.run(plan, i) for i in range(plan.num_breakpoints)]
     return measurements, executor.gates_applied
 
 
 def _incremental_measurements(program, ensemble_size, seed):
     """One checkpointed walk of the shared-prefix execution plan."""
-    executor = BreakpointExecutor(ensemble_size=ensemble_size, rng=seed)
+    executor = BreakpointExecutor(RunConfig(ensemble_size=ensemble_size, seed=seed))
     measurements = executor.run_plan(build_execution_plan(program))
     return measurements, executor.gates_applied
 
@@ -76,7 +78,7 @@ class TestSeededEquivalence:
 
         scenario = BUG_SCENARIOS["flipped_rotation_angles"]
         program = scenario.build_buggy()
-        report = check_program(program, ensemble_size=16, rng=SEED)
+        report = check_program(program, RunConfig(ensemble_size=16, seed=SEED))
         incremental, _ = _incremental_measurements(program, 16, SEED)
         assert [record.outcome.passed for record in report.records] == _verdicts(
             incremental
@@ -124,7 +126,9 @@ class TestWorkBound:
         """'rerun' keeps faithful per-member re-simulation of every prefix."""
         program = self._chain_program(num_blocks=2, gates_per_block=3)
         plan = build_execution_plan(program)
-        executor = BreakpointExecutor(ensemble_size=4, rng=SEED, mode="rerun")
+        executor = BreakpointExecutor(
+            RunConfig(ensemble_size=4, seed=SEED, mode="rerun")
+        )
         executor.run_plan(plan)
         assert executor.gates_applied == 4 * plan.legacy_gates
 
@@ -141,7 +145,7 @@ class TestSnapshotIsolation:
         program.assert_entangled([q[0]], [q[1]], label="bp1")
 
         plan = build_execution_plan(program)
-        executor = BreakpointExecutor(ensemble_size=512, rng=SEED)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=512, seed=SEED))
         measurements = executor.run_plan(plan)
 
         # Breakpoint 1 sees the exact Bell statistics even though breakpoint 0
@@ -182,22 +186,16 @@ class TestPlanStructure:
         scenario = BUG_SCENARIOS["control_routing"]
         program = scenario.build_correct()
         plan = build_execution_plan(program)
-        breakpoints = split_at_assertions(program)
-        assert plan.num_breakpoints == len(breakpoints)
-        for segment, breakpoint_program in zip(plan.segments, breakpoints):
-            assert segment.gates_before == breakpoint_program.gates_before
-            assert segment.assertion is breakpoint_program.assertion
-        assert plan.total_gates == breakpoints[-1].gates_before
-        assert plan.legacy_gates == sum(bp.gates_before for bp in breakpoints)
-
-    def test_split_at_assertions_dropped_dead_parameter(self):
-        """The unused include_trailing flag is gone."""
-        program = Program()
-        q = program.qreg("q", 1)
-        program.h(q[0])
-        program.assert_superposition([q[0]])
-        with pytest.raises(TypeError):
-            split_at_assertions(program, include_trailing=True)
+        assert plan.num_breakpoints == len(program.assertions())
+        prefix_gates = [
+            plan.prefix_program(i).num_gates() for i in range(plan.num_breakpoints)
+        ]
+        for segment, gates in zip(plan.segments, prefix_gates):
+            assert segment.gates_before == gates
+        for segment, assertion in zip(plan.segments, program.assertions()):
+            assert segment.assertion is assertion
+        assert plan.total_gates == prefix_gates[-1]
+        assert plan.legacy_gates == sum(prefix_gates)
 
     def test_group_labels_assigned_at_construction(self):
         """_slice_groups passes labels through extract_bits, not mutation."""
@@ -207,7 +205,7 @@ class TestPlanStructure:
         program.h(a[0])
         program.cnot(a[0], b[0])
         program.assert_entangled(a, b, label="pair")
-        executor = BreakpointExecutor(ensemble_size=8, rng=SEED)
+        executor = BreakpointExecutor(RunConfig(ensemble_size=8, seed=SEED))
         (measurements,) = executor.run_plan(build_execution_plan(program))
         assert measurements.joint.label == "pair"
         assert measurements.group_a.label == "group_a"

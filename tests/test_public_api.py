@@ -1,8 +1,7 @@
 """Public-API surface tests: ``__all__`` completeness and key exports.
 
-Run with ``-W error::DeprecationWarning`` in CI together with
-``test_config_session.py``: importing and exercising the public surface must
-never trip a deprecation.
+The suite runs with ``-W error::DeprecationWarning`` in CI: importing and
+exercising the public surface must never trip a deprecation.
 """
 
 import pytest
@@ -43,7 +42,6 @@ class TestKeyExports:
 
     def test_sim_registry_api(self):
         for name in (
-            "BACKENDS",
             "BackendCapabilities",
             "register_backend",
             "unregister_backend",
@@ -57,13 +55,6 @@ class TestKeyExports:
     def test_core_exports_config_and_session(self):
         for name in ("RunConfig", "Session", "session"):
             assert name in repro.core.__all__
-
-    def test_legacy_compat_spellings_still_importable(self):
-        # One release of grace: the historical import paths keep working.
-        from repro.sim.backend import BACKENDS, make_backend, register_backend
-
-        assert callable(make_backend) and callable(register_backend)
-        assert "statevector" in BACKENDS
 
     def test_public_functions_documented(self):
         # Every public callable/class on the facade carries a docstring.

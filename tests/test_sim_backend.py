@@ -5,13 +5,13 @@ import pytest
 
 from repro.lang import Program
 from repro.sim import (
-    BACKENDS,
     SimulationBackend,
     Statevector,
     StatevectorBackend,
     gates,
     make_backend,
     register_backend,
+    unregister_backend,
 )
 from repro.sim.kernels import apply_controlled_inplace, apply_matrix_inplace
 
@@ -47,7 +47,7 @@ class TestRegistry:
         try:
             assert isinstance(make_backend("custom_test"), Custom)
         finally:
-            del BACKENDS["custom_test"]
+            unregister_backend("custom_test")
 
 
 class TestStatevectorBackend:
