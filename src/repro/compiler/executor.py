@@ -40,6 +40,7 @@ shared — so seeded runs stay reproducible under any batching.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -216,19 +217,16 @@ class BreakpointExecutor:
             if cached is not None:
                 return self._sample_from_snapshots(plan, cached)
         program = plan.program
-        engine = self._new_backend(program.num_qubits, clifford=plan.is_clifford)
-        if self._routing_note:
-            plan.routing_note = self._routing_note
-        native, displaced = self._install_readout(engine)
-        gates_before_walk = engine.gates_applied
-        dense_before_walk = engine.statevector_gates_applied
-        recorder = (
-            SnapshotSet(backend_name=backend_key, engine=engine)
-            if backend_key is not None
-            else None
-        )
-        results: list[BreakpointMeasurements] = []
-        try:
+
+        def walk(engine, native):
+            if self._routing_note:
+                plan.routing_note = self._routing_note
+            recorder = (
+                SnapshotSet(backend_name=backend_key, engine=engine)
+                if backend_key is not None
+                else None
+            )
+            results: list[BreakpointMeasurements] = []
             for segment in plan.segments:
                 run_instructions(program, segment.instructions, engine, rng=self.rng)
                 if segment.index in skip_indices:
@@ -261,12 +259,11 @@ class BreakpointExecutor:
                         weights=self._member_weights(engine, len(samples)),
                     )
                 )
-        finally:
-            self._restore_readout(engine, native, displaced)
-        walk_gates = engine.gates_applied - gates_before_walk
-        walk_dense = engine.statevector_gates_applied - dense_before_walk
-        self.gates_applied += walk_gates
-        self.statevector_gates_applied += walk_dense
+            return results, recorder
+
+        (results, recorder), walk_gates, walk_dense = self._walk_fresh_engine(
+            program.num_qubits, plan.is_clifford, walk
+        )
         if recorder is not None:
             recorder.walk_gates = walk_gates
             recorder.walk_statevector_gates = walk_dense
@@ -311,9 +308,8 @@ class BreakpointExecutor:
         is identical and so are the verdicts.
         """
         engine = cached.engine
-        native, displaced = self._install_readout(engine)
         results: list[BreakpointMeasurements] = []
-        try:
+        with self._install_readout(engine) as native:
             for segment, token, indices in zip(
                 plan.segments, cached.tokens, cached.indices
             ):
@@ -322,8 +318,6 @@ class BreakpointExecutor:
                 results.append(
                     self._package(segment, indices, samples, native_readout=native)
                 )
-        finally:
-            self._restore_readout(engine, native, displaced)
         self.shared_prefix_gates_saved += cached.walk_gates
         return results
 
@@ -352,24 +346,15 @@ class BreakpointExecutor:
             # Observable breakpoints always simulate the (measurement-free)
             # prefix once and draw their per-setting ensembles from the
             # breakpoint state — statistically identical to per-shot reruns.
-            engine = self._new_backend(
-                program.num_qubits, clifford=self._all_clifford(program)
-            )
-            native, displaced = self._install_readout(engine)
-            counted = engine.gates_applied
-            dense_counted = engine.statevector_gates_applied
-            try:
+            def walk(engine, native):
                 run_instructions(program, program.instructions, engine, rng=self.rng)
-                result = self._measure_observable(
+                return self._measure_observable(
                     segment, program, engine, native_readout=native
                 )
-            finally:
-                self._restore_readout(engine, native, displaced)
-            self.gates_applied += engine.gates_applied - counted
-            self.statevector_gates_applied += (
-                engine.statevector_gates_applied - dense_counted
-            )
-            return result
+
+            return self._walk_fresh_engine(
+                program.num_qubits, self._all_clifford(program), walk
+            )[0]
         qubits = assertion.qubits()
         indices = [program.qubit_index(q) for q in qubits]
 
@@ -494,10 +479,7 @@ class BreakpointExecutor:
         (the batched trajectory readout); averaged-mixture draws of any
         other shot count have no per-sample weight attribution.
         """
-        getter = getattr(engine, "member_weights", None)
-        if getter is None:
-            return None
-        weights = getter()
+        weights = engine.member_weights()
         if weights is None or len(weights) != sample_count:
             return None
         return [float(w) for w in weights]
@@ -624,53 +606,66 @@ class BreakpointExecutor:
             clifford=clifford,
         )
 
-    def _install_readout(
-        self, engine: SimulationBackend
-    ) -> tuple[bool, ReadoutErrorModel | None]:
-        """Lift the executor's readout channel into a capable backend.
+    @contextmanager
+    def _install_readout(self, engine: SimulationBackend, native_readout=True):
+        """Lift the executor's readout channel into a capable backend for a block.
 
         One density walk then yields the exact noisy distribution at every
-        breakpoint, replacing per-member corrupted re-sampling.  Returns
-        ``(native, displaced)``: ``native`` says whether the backend now owns
-        the channel (so :meth:`_package` must not corrupt a second time) and
-        ``displaced`` is the backend's own model, which
-        :meth:`_restore_readout` puts back — a caller-owned instance must not
-        keep this executor's noise after the run.
+        breakpoint, replacing per-member corrupted re-sampling.  Yields
+        ``native``: whether the backend owns the channel (so :meth:`_package`
+        must not corrupt a second time).  On exit the backend's own model
+        goes back — a caller-owned instance must not keep this executor's
+        noise after the run.  ``native_readout=False`` keeps readout classical.
         """
-        if engine.supports_readout_noise and not self.readout_error.is_ideal:
-            displaced = getattr(engine, "readout_error", None)
-            engine.set_readout_error(self.readout_error)
-            return True, displaced
-        return False, None
-
-    @staticmethod
-    def _restore_readout(
-        engine: SimulationBackend,
-        native: bool,
-        displaced: ReadoutErrorModel | None,
-    ) -> None:
+        native = (
+            native_readout
+            and engine.supports_readout_noise
+            and not self.readout_error.is_ideal
+        )
+        displaced = engine.readout_error
         if native:
-            engine.set_readout_error(displaced)
+            engine.set_readout_error(self.readout_error)
+        try:
+            yield native
+        finally:
+            if native:
+                engine.set_readout_error(displaced)
+
+    def _walk_fresh_engine(
+        self,
+        num_qubits: int,
+        clifford: bool | None,
+        walk,
+        native_readout: bool = True,
+    ):
+        """Run ``walk(engine, native)`` on a new engine: the one engine bracket.
+
+        Builds the configured backend, runs the walk inside
+        :meth:`_install_readout` and adds the walk's gate counts to
+        :attr:`gates_applied` and :attr:`statevector_gates_applied`.  Returns
+        ``(walk result, gates, dense gates)``.
+        """
+        engine = self._new_backend(num_qubits, clifford=clifford)
+        gates, dense = engine.gates_applied, engine.statevector_gates_applied
+        with self._install_readout(engine, native_readout) as native:
+            result = walk(engine, native)
+        gates = engine.gates_applied - gates
+        dense = engine.statevector_gates_applied - dense
+        self.gates_applied += gates
+        self.statevector_gates_applied += dense
+        return result, gates, dense
 
     def _sample_mode(
         self, program: Program, indices: list[int]
     ) -> tuple[Sequence[int], bool, "list[float] | None"]:
-        engine = self._new_backend(
-            program.num_qubits, clifford=self._all_clifford(program)
-        )
-        native, displaced = self._install_readout(engine)
-        counted = engine.gates_applied
-        dense_counted = engine.statevector_gates_applied
-        try:
+        def walk(engine, native):
             run_instructions(program, program.instructions, engine, rng=self.rng)
-            self.gates_applied += engine.gates_applied - counted
-            self.statevector_gates_applied += (
-                engine.statevector_gates_applied - dense_counted
-            )
             samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
-        finally:
-            self._restore_readout(engine, native, displaced)
-        return samples, native, self._member_weights(engine, len(samples))
+            return samples, native, self._member_weights(engine, len(samples))
+
+        return self._walk_fresh_engine(
+            program.num_qubits, self._all_clifford(program), walk
+        )[0]
 
     def _rerun_mode(
         self, program: Program, indices: list[int]
@@ -680,21 +675,20 @@ class BreakpointExecutor:
         # `measure` ideal (mid-circuit resets must match across backends),
         # so _package applies the classical corruption — exactly the
         # statevector semantics.
+        def walk(engine, native):
+            run_instructions(program, program.instructions, engine, rng=self.rng)
+            sample = int(engine.measure(indices, rng=self.rng))
+            return sample, self._member_weights(engine, 1)
+
         samples = []
         weights: list[float] = []
         weighted = False
         clifford = self._all_clifford(program)
         for _ in range(self.ensemble_size):
-            engine = self._new_backend(program.num_qubits, clifford=clifford)
-            counted = engine.gates_applied
-            dense_counted = engine.statevector_gates_applied
-            run_instructions(program, program.instructions, engine, rng=self.rng)
-            self.gates_applied += engine.gates_applied - counted
-            self.statevector_gates_applied += (
-                engine.statevector_gates_applied - dense_counted
+            (sample, member), _, _ = self._walk_fresh_engine(
+                program.num_qubits, clifford, walk, native_readout=False
             )
-            samples.append(int(engine.measure(indices, rng=self.rng)))
-            member = self._member_weights(engine, 1)
+            samples.append(sample)
             weighted = weighted or member is not None
             weights.append(1.0 if member is None else member[0])
         return samples, False, weights if weighted else None

@@ -5,11 +5,18 @@ simulation → ``core`` checker) talks to the simulator exclusively through the
 :class:`SimulationBackend` interface defined here.  The interface is the
 extension point for alternative simulation strategies:
 :class:`StatevectorBackend` below is the production implementation backing
-every noiseless benchmark,
-:class:`repro.sim.density_backend.DensityMatrixBackend` (registry name
-``"density"``) adds Kraus-channel and readout noise, and a stabilizer
-backend for Clifford-only programs would subclass and register the same
-way.
+every noiseless benchmark.  Five backends are registered:
+``"statevector"`` (below), ``"density"``
+(:class:`repro.sim.density_backend.DensityMatrixBackend`, Kraus-channel and
+readout noise), ``"trajectory"``
+(:class:`repro.sim.trajectory_backend.TrajectoryNoiseBackend`, batched Pauli
+trajectories), ``"stabilizer"``
+(:class:`repro.sim.stabilizer_backend.StabilizerBackend`, Clifford tableau)
+and ``"auto"``/``"hybrid"``
+(:class:`repro.sim.stabilizer_backend.HybridCliffordBackend`).  They share
+one core: the qubit and matrix validators of :mod:`repro.sim.statevector`,
+the noise set-up of :meth:`SimulationBackend._setup_noise` and one batched
+kernel per gate operation in :mod:`repro.sim.kernels`.
 
 Two capabilities distinguish the interface from a bare statevector:
 
@@ -30,6 +37,15 @@ from typing import Sequence
 import numpy as np
 
 from . import gates as _gates
+from .measurement import ReadoutErrorModel
+from .noise import (
+    KrausChannel,
+    NoiseModel,
+    PauliChannelSampler,
+    StreamPool,
+    as_member_streams,
+    spawn_trajectory_streams,
+)
 from .statevector import Statevector
 
 __all__ = ["SimulationBackend", "StatevectorBackend"]
@@ -53,8 +69,75 @@ class SimulationBackend(abc.ABC):
     #: corrupting each drawn sample after the fact.
     supports_readout_noise: bool = False
 
+    #: Readout channel of the native readout path (ideal unless installed).
+    readout_error: ReadoutErrorModel = ReadoutErrorModel()
+
+    #: Gate-noise model (``None`` = noiseless); see :meth:`_setup_noise`.
+    noise: "NoiseModel | None" = None
+
+    _batch_size = 1
+    _weights: "np.ndarray | None" = None
+
     def __init__(self) -> None:
         self.gates_applied = 0
+
+    def _setup_noise(
+        self,
+        noise: "NoiseModel | KrausChannel | Sequence[KrausChannel] | None",
+        readout_error: ReadoutErrorModel | None = None,
+        batch_size: int = 1,
+        rng_streams: "Sequence[np.random.Generator] | StreamPool | None" = None,
+        seed: "int | np.random.SeedSequence | None" = None,
+        unravel: bool = True,
+    ) -> None:
+        """Noise set-up shared by every noise-carrying backend.
+
+        Sets :attr:`noise` (a channel or iterable of channels is wrapped into
+        a :class:`NoiseModel`), :attr:`readout_error` (the explicit model,
+        else the noise model's, else ideal) and the batch width.  With
+        ``unravel`` the gate channels are also prepared for Pauli
+        trajectories: ``_samplers`` (one :class:`PauliChannelSampler` per
+        channel, importance-boosted by the model), ``_weights`` (ones when
+        any sampler is biased, else ``None``) and ``_pool``, the members'
+        :class:`StreamPool`, built from ``rng_streams`` or spawned from
+        ``seed`` whenever the backend carries noise or more than one member.
+        """
+        if noise is not None and not isinstance(noise, NoiseModel):
+            noise = NoiseModel.from_channels(noise)
+        self.noise = noise
+        if readout_error is None and noise is not None:
+            readout_error = noise.readout
+        self.readout_error = readout_error or ReadoutErrorModel()
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        self._batch_size = int(batch_size)
+        if not unravel:
+            return
+        channels = noise.gate_channels if noise is not None else ()
+        boost = noise.importance_boost if noise is not None else None
+        try:
+            self._samplers = tuple(
+                PauliChannelSampler(
+                    channel.pauli_decomposition(), importance_boost=boost
+                )
+                for channel in channels
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"backend {self.name!r} unravels gate noise into Pauli "
+                f"trajectories; {exc}.  Non-Pauli channels (e.g. amplitude "
+                "damping) need the density-matrix backend."
+            ) from None
+        self._biased = any(sampler.is_biased for sampler in self._samplers)
+        self._weights = np.ones(self._batch_size) if self._biased else None
+        self._pool = None
+        if channels or self._batch_size > 1:
+            if rng_streams is not None:
+                self._pool = as_member_streams(rng_streams, self._batch_size)
+            else:
+                self._pool = StreamPool(
+                    spawn_trajectory_streams(seed, self._batch_size)
+                )
 
     @property
     def statevector_gates_applied(self) -> int:
@@ -76,16 +159,24 @@ class SimulationBackend(abc.ABC):
         Trajectory backends stack ``B`` ensemble members through one plan
         walk; everything else simulates a single state.
         """
-        return 1
+        return self._batch_size
 
-    def set_readout_error(self, model) -> None:
-        """Install a readout-error model into the backend's readout path.
+    def member_weights(self) -> "np.ndarray | None":
+        """Per-member likelihood-ratio weights, or ``None`` when unbiased.
 
-        Only meaningful when :attr:`supports_readout_noise` is true.
+        Non-``None`` exactly when the noise model carries an
+        ``importance_boost``: each entry is the running product of the
+        likelihood ratios of that member's sampled noise events, and
+        ensemble statistics must be weighted by them to stay unbiased.
         """
-        raise NotImplementedError(
-            f"backend {self.name!r} has no native readout-noise path"
-        )
+        return None if self._weights is None else self._weights.copy()
+
+    def set_readout_error(self, model: ReadoutErrorModel | None) -> None:
+        """Install a readout-error model (``None`` = ideal) as :attr:`readout_error`.
+
+        Only backends with :attr:`supports_readout_noise` apply it.
+        """
+        self.readout_error = model or ReadoutErrorModel()
 
     def prep_qubit(
         self,
@@ -155,14 +246,7 @@ class SimulationBackend(abc.ABC):
         self, name: str, qubits: Sequence[int], *params: float
     ) -> "SimulationBackend":
         """Apply a named gate from the :mod:`repro.sim.gates` library."""
-        key = name.lower()
-        if key in _gates.FIXED_GATES:
-            if params:
-                raise ValueError(f"gate {name!r} takes no parameters")
-            return self.apply_matrix(_gates.FIXED_GATES[key], qubits)
-        if key in _gates.GATE_BUILDERS:
-            return self.apply_matrix(_gates.GATE_BUILDERS[key](*params), qubits)
-        raise KeyError(f"unknown gate {name!r}")
+        return self.apply_matrix(_gates.gate_matrix(name, params), qubits)
 
     # -- readout --------------------------------------------------------
 

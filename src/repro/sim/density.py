@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import Statevector
+from .statevector import Statevector, _validated_qubits
 
 __all__ = [
     "DensityMatrix",
@@ -79,13 +79,8 @@ def reduced_density_matrix(state: Statevector, keep: Sequence[int]) -> DensityMa
     The returned density matrix is indexed little-endian in the order the
     qubits appear in ``keep``.
     """
-    keep = [int(q) for q in keep]
     n = state.num_qubits
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate qubits in keep list")
-    for q in keep:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range")
+    keep = _validated_qubits(keep, n)
     traced = [q for q in range(n) if q not in keep]
 
     tensor = state.data.reshape([2] * n)

@@ -20,8 +20,8 @@ bit-identical readout distributions; readout error never densifies either,
 because it is applied to the *classical* outcome distribution via the per-bit
 confusion matrix, not to the quantum state.
 
-Once dense, evolution reuses the vectorised kernels of
-:mod:`repro.sim.kernels` by treating the flattened ``2^n x 2^n`` matrix as a
+Once dense, evolution reuses the batched kernels of :mod:`repro.sim.kernels`
+by treating the flattened ``2^n x 2^n`` matrix as a ``(1, 4^n)`` batch of one
 ``2n``-qubit state: bits ``0..n-1`` of the flat index are the column (bra)
 side and bits ``n..2n-1`` the row (ket) side, so ``U rho U^dagger`` is one
 kernel application of ``U`` on the row bits plus one of ``conj(U)`` on the
@@ -43,21 +43,17 @@ from .registry import BackendCapabilities, register_backend
 from .density import DensityMatrix
 from .density import reduced_density_matrix as _pure_reduced_density_matrix
 from .kernels import (
-    apply_controlled_inplace,
-    apply_matrix_inplace,
+    apply_controlled_batched,
+    apply_matrix_batched,
     marginal_probabilities,
+    outcome_mask,
 )
 from .measurement import ReadoutErrorModel
-from .noise import KrausChannel, NoiseModel
-from .statevector import Statevector
+from .noise import KrausChannel, NoiseModel, noise_events
+from .statevector import Statevector, _draw_outcomes
+from .statevector import _validated_matrix, _validated_qubits
 
 __all__ = ["DensityMatrixBackend"]
-
-
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 class DensityMatrixBackend(SimulationBackend):
@@ -87,16 +83,7 @@ class DensityMatrixBackend(SimulationBackend):
         readout_error: ReadoutErrorModel | None = None,
     ):
         super().__init__()
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
-        if readout_error is not None:
-            self.readout_error = readout_error
-        elif self.noise is not None:
-            self.readout_error = self.noise.readout
-        else:
-            self.readout_error = ReadoutErrorModel()
+        self._setup_noise(noise, readout_error, unravel=False)
         self._num_qubits: int | None = None
         self._pure: Statevector | None = None
         self._rho: np.ndarray | None = None
@@ -138,9 +125,6 @@ class DensityMatrixBackend(SimulationBackend):
             self._pure = None
         return self
 
-    def set_readout_error(self, model: ReadoutErrorModel | None) -> None:
-        self.readout_error = model or ReadoutErrorModel()
-
     def snapshot(self) -> tuple[str, np.ndarray]:
         self._require_state()
         if self._pure is not None:
@@ -175,18 +159,15 @@ class DensityMatrixBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "DensityMatrixBackend":
         self._require_state()
-        qubit_list = [int(q) for q in qubits]
+        qubit_list = _validated_qubits(qubits, self._num_qubits)
         if self._pure is not None:
             self._pure.apply_matrix(matrix, qubit_list)
         else:
-            matrix = self._validated_matrix(matrix, len(qubit_list))
-            self._validate_qubits(qubit_list)
-            flat = self._rho.reshape(-1)
+            matrix = _validated_matrix(matrix, len(qubit_list))
+            flat = self._rho.reshape(1, -1)
             n = self._num_qubits
-            apply_matrix_inplace(
-                flat, 2 * n, matrix, [q + n for q in qubit_list]
-            )
-            apply_matrix_inplace(flat, 2 * n, matrix.conj(), qubit_list)
+            apply_matrix_batched(flat, 2 * n, matrix, [q + n for q in qubit_list])
+            apply_matrix_batched(flat, 2 * n, matrix.conj(), qubit_list)
         self.gates_applied += 1
         self._apply_gate_noise(qubit_list)
         return self
@@ -198,27 +179,24 @@ class DensityMatrixBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "DensityMatrixBackend":
         self._require_state()
-        control_list = [int(q) for q in controls]
-        target_list = [int(q) for q in targets]
+        control_list = _validated_qubits(controls, self._num_qubits)
+        target_list = _validated_qubits(targets, self._num_qubits, control_list)
         if self._pure is not None:
             self._pure.apply_controlled(matrix, control_list, target_list)
         else:
-            matrix = self._validated_matrix(matrix, len(target_list))
-            if set(control_list) & set(target_list):
-                raise ValueError("control and target qubits overlap")
-            self._validate_qubits(control_list + target_list)
-            flat = self._rho.reshape(-1)
+            matrix = _validated_matrix(matrix, len(target_list))
+            flat = self._rho.reshape(1, -1)
             n = self._num_qubits
             # conj(controlled(U)) == controlled(conj(U)): the control
             # projector part is real, so the bra side just conjugates U.
-            apply_controlled_inplace(
+            apply_controlled_batched(
                 flat,
                 2 * n,
                 matrix,
                 [q + n for q in control_list],
                 [q + n for q in target_list],
             )
-            apply_controlled_inplace(
+            apply_controlled_batched(
                 flat, 2 * n, matrix.conj(), control_list, target_list
             )
         self.gates_applied += 1
@@ -230,45 +208,29 @@ class DensityMatrixBackend(SimulationBackend):
     ) -> "DensityMatrixBackend":
         """Apply a Kraus channel to ``qubits`` (densifies the representation)."""
         self._require_state()
-        qubit_list = [int(q) for q in qubits]
+        qubit_list = _validated_qubits(qubits, self._num_qubits)
         if channel.num_qubits != len(qubit_list):
             raise ValueError(
                 f"channel {channel.name!r} acts on {channel.num_qubits} "
                 f"qubit(s), got {len(qubit_list)} operand(s)"
             )
-        self._validate_qubits(qubit_list)
         self.densify()
         n = self._num_qubits
-        flat = self._rho.reshape(-1)
+        flat = self._rho.reshape(1, -1)
         ket_side = [q + n for q in qubit_list]
         accumulated = np.zeros_like(flat)
         for operator in channel.operators:
             term = flat.copy()
-            apply_matrix_inplace(term, 2 * n, operator, ket_side)
-            apply_matrix_inplace(term, 2 * n, operator.conj(), qubit_list)
+            apply_matrix_batched(term, 2 * n, operator, ket_side)
+            apply_matrix_batched(term, 2 * n, operator.conj(), qubit_list)
             accumulated += term
         flat[:] = accumulated
         return self
 
     def _apply_gate_noise(self, touched: Sequence[int]) -> None:
-        channels = self.noise.gate_channels if self.noise is not None else ()
-        if not channels:
-            return
-        seen: list[int] = []
-        for qubit in touched:
-            if qubit not in seen:
-                seen.append(qubit)
-        single = [c for c in channels if c.num_qubits == 1]
-        double = [c for c in channels if c.num_qubits == 2]
-        for qubit in seen:
-            for channel in single:
-                self.apply_channel(channel, [qubit])
-        # Two-qubit (correlated) channels fire once per multi-qubit gate, on
-        # the first two qubits it touches — the same contract as the
-        # trajectory paths' iter_noise_events.
-        if double and len(seen) >= 2:
-            for channel in double:
-                self.apply_channel(channel, seen[:2])
+        if self.noise is not None:
+            for channel, qubits in noise_events(self.noise.gate_channels, touched):
+                self.apply_channel(channel, qubits)
 
     # -- readout --------------------------------------------------------
 
@@ -280,7 +242,8 @@ class DensityMatrixBackend(SimulationBackend):
         diagonal = np.clip(np.real(np.einsum("ii->i", self._rho)), 0.0, None)
         if qubits is None:
             return diagonal
-        return marginal_probabilities(diagonal, self._num_qubits, list(qubits))
+        qubit_list = _validated_qubits(qubits, self._num_qubits)
+        return marginal_probabilities(diagonal, self._num_qubits, qubit_list)
 
     def readout_probabilities(
         self, qubits: Sequence[int] | None = None
@@ -299,10 +262,7 @@ class DensityMatrixBackend(SimulationBackend):
         shots: int = 1,
         rng: np.random.Generator | int | None = None,
     ) -> np.ndarray:
-        rng = _as_rng(rng)
-        probs = self.readout_probabilities(qubits)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
+        return _draw_outcomes(self.readout_probabilities(qubits), rng, shots)
 
     def measure(
         self,
@@ -320,23 +280,15 @@ class DensityMatrixBackend(SimulationBackend):
         :meth:`ReadoutErrorModel.corrupt`.
         """
         self._require_state()
-        qubit_list = [int(q) for q in qubits]
-        rng = _as_rng(rng)
+        qubit_list = _validated_qubits(qubits, self._num_qubits)
         if self._pure is not None:
             return self._pure.measure(qubit_list, rng=rng)
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
+        outcome = int(_draw_outcomes(self.probabilities(qubit_list), rng))
         self._project(qubit_list, outcome)
         return outcome
 
     def _project(self, qubits: Sequence[int], value: int) -> None:
-        dim = 1 << self._num_qubits
-        indices = np.arange(dim)
-        keep = np.ones(dim, dtype=bool)
-        for position, qubit in enumerate(qubits):
-            bit = (value >> position) & 1
-            keep &= ((indices >> qubit) & 1) == bit
+        keep = outcome_mask(self._num_qubits, qubits, value)
         self._rho[~keep, :] = 0.0
         self._rho[:, ~keep] = 0.0
         trace = float(np.real(np.einsum("ii->", self._rho)))
@@ -373,10 +325,7 @@ class DensityMatrixBackend(SimulationBackend):
         order given) — directly comparable with
         :func:`repro.sim.density.reduced_density_matrix` ground truth."""
         self._require_state()
-        keep = [int(q) for q in keep]
-        if len(set(keep)) != len(keep):
-            raise ValueError("duplicate qubits in keep list")
-        self._validate_qubits(keep)
+        keep = _validated_qubits(keep, self._num_qubits)
         if self._pure is not None:
             return _pure_reduced_density_matrix(self._pure, keep)
         n = self._num_qubits
@@ -408,25 +357,6 @@ class DensityMatrixBackend(SimulationBackend):
     def _require_state(self) -> None:
         if self._pure is None and self._rho is None:
             raise RuntimeError("backend not initialised; call initialize() first")
-
-    def _validate_qubits(self, qubits: Sequence[int]) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubits in {list(qubits)}")
-        for q in qubits:
-            if not 0 <= q < self._num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {self._num_qubits} qubits"
-                )
-
-    @staticmethod
-    def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << num_targets, 1 << num_targets):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{num_targets} qubit(s)"
-            )
-        return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         representation = (

@@ -13,11 +13,16 @@ only the amplitudes that the gate can change:
 * small multi-qubit gates use the same gather/scatter machinery with an
   all-indices base set.
 
-All kernels mutate ``data`` (the flat amplitude array) in place and return it.
-``data[i]`` is the amplitude of basis state ``|i>`` with bit ``j`` of ``i``
-holding the value of qubit ``j`` (little-endian), and ``qubits[0]`` is the
-least significant operand of ``matrix`` — the same conventions as
-:mod:`repro.sim.gates` and :class:`repro.sim.statevector.Statevector`.
+There is one batched kernel per gate operation, and a single state is a
+batch of one: the gate kernels take a C-contiguous ``(B, 2**n)`` stack of
+states, mutate it in place and return it.
+:class:`~repro.sim.statevector.Statevector` passes its amplitudes as a
+``(1, 2**n)`` view and the density-matrix backend its flattened ``rho`` as a
+``(1, 4**n)`` view of a ``2n``-qubit state.
+``batch[m, i]`` is the amplitude of basis state ``|i>`` of member ``m`` with
+bit ``j`` of ``i`` holding the value of qubit ``j`` (little-endian), and
+``qubits[0]`` is the least significant operand of ``matrix`` — the same
+conventions as :mod:`repro.sim.gates`.
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "apply_matrix_inplace",
-    "apply_controlled_inplace",
     "apply_matrix_batched",
     "apply_controlled_batched",
     "apply_pauli_batched",
     "pauli_mask_kernel",
     "marginal_probabilities",
+    "outcome_mask",
     "popcount_u64",
     "pack_bits_to_words",
     "unpack_words_to_bits",
@@ -196,24 +200,6 @@ def _apply_dense_inplace(
     data[:] = tensor.reshape(-1)
 
 
-def apply_matrix_inplace(
-    data: np.ndarray,
-    num_qubits: int,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-) -> np.ndarray:
-    """Apply a ``2**k x 2**k`` unitary to ``qubits`` of the state in place."""
-    k = len(qubits)
-    if k == 1:
-        _apply_1q_inplace(data, matrix, qubits[0])
-    elif k <= _GATHER_MAX_TARGETS:
-        base = _subspace_indices(num_qubits, zero_bits=qubits)
-        _gather_apply(data, matrix, qubits, base)
-    else:
-        _apply_dense_inplace(data, num_qubits, matrix, qubits)
-    return data
-
-
 def marginal_probabilities(
     probabilities: np.ndarray,
     num_qubits: int,
@@ -227,15 +213,10 @@ def marginal_probabilities(
     qubits, read little-endian in the given order, encode ``v``.  Both the
     statevector backend (on ``|amplitude|^2``) and the density-matrix backend
     (on the real diagonal of rho) reduce their readout to this kernel.
+    ``qubits`` must already be validated (distinct and in range).
     """
-    qubit_list = [int(q) for q in qubits]
-    if len(set(qubit_list)) != len(qubit_list):
-        raise ValueError(f"duplicate qubits in {qubit_list}")
-    for q in qubit_list:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
     tensor = probabilities.reshape([2] * num_qubits)
-    keep_axes = [num_qubits - 1 - q for q in reversed(qubit_list)]
+    keep_axes = [num_qubits - 1 - q for q in reversed(qubits)]
     other_axes = tuple(a for a in range(num_qubits) if a not in keep_axes)
     if other_axes:
         tensor = tensor.sum(axis=other_axes)
@@ -247,14 +228,30 @@ def marginal_probabilities(
     return tensor.reshape(-1)
 
 
+def outcome_mask(num_qubits: int, qubits: Sequence[int], value: int) -> np.ndarray:
+    """Boolean mask of the basis states on which ``qubits`` encode ``value``.
+
+    ``value`` is read little-endian in the order of ``qubits``; this is the
+    projector every collapsing measurement applies.
+    """
+    indices = np.arange(1 << num_qubits)
+    mask = np.ones(1 << num_qubits, dtype=bool)
+    for position, qubit in enumerate(qubits):
+        mask &= ((indices >> qubit) & 1) == ((value >> position) & 1)
+    return mask
+
+
 def _batched_base(batch_size: int, num_qubits: int, base: np.ndarray) -> np.ndarray:
     """Tile per-state amplitude-group indices across a stacked batch.
 
     A ``(B, 2**n)`` batch flattened to ``B * 2**n`` entries places member
     ``m`` at offset ``m << n``; gate operands only address the low ``n``
     bits, so OR-ing the member offsets onto the single-state base indices
-    makes every single-state gather kernel batch-aware for free.
+    makes every single-state gather kernel batch-aware for free.  A batch
+    of one (a single state) uses ``base`` as it is.
     """
+    if batch_size == 1:
+        return base
     offsets = np.arange(batch_size, dtype=base.dtype) << num_qubits
     return (offsets[:, None] | base[None, :]).reshape(-1)
 
@@ -267,11 +264,11 @@ def apply_matrix_batched(
 ) -> np.ndarray:
     """Apply one unitary to ``qubits`` of every member of a ``(B, 2**n)`` batch.
 
-    This is the hot path of the trajectory noise engine: one plan walk
+    This is the hot path of every dense engine: one trajectory plan walk
     carries the whole ensemble, so each gate is a single vectorised kernel
-    call over all ``B`` members instead of ``B`` separate walks.  ``batch``
-    must be C-contiguous (the trajectory backend guarantees it); it is
-    mutated in place and returned.
+    call over all ``B`` members instead of ``B`` separate walks, and single
+    states run as ``B = 1``.  ``batch`` must be C-contiguous; it is mutated
+    in place and returned.
     """
     k = len(qubits)
     flat = batch.reshape(-1)
@@ -297,13 +294,21 @@ def apply_controlled_batched(
     controls: Sequence[int],
     targets: Sequence[int],
 ) -> np.ndarray:
-    """Batched index-masked controlled gate over a ``(B, 2**n)`` batch."""
+    """Apply ``matrix`` on ``targets`` where every control bit is 1, per member.
+
+    This is the index-masked kernel: the dense controlled unitary is never
+    materialised, and amplitudes outside the control-satisfied subspace are
+    never touched (they are the identity part of the controlled gate).
+    """
     if not controls:
         return apply_matrix_batched(batch, num_qubits, matrix, targets)
     if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
-        for member in batch:
-            apply_controlled_inplace(member, num_qubits, matrix, controls, targets)
-        return batch
+        from . import gates as _gates
+
+        full = _gates.controlled(matrix, num_controls=len(controls))
+        return apply_matrix_batched(
+            batch, num_qubits, full, list(controls) + list(targets)
+        )
     base = _subspace_indices(num_qubits, zero_bits=targets, one_bits=controls)
     _gather_apply(
         batch.reshape(-1),
@@ -353,8 +358,9 @@ def pauli_mask_kernel(
 
     Returns a **new** array: ``out[j ^ x_mask] = i^y (-1)^parity(z & j)
     data[j]`` where ``y`` counts the qubits with both masks set (``Y = iXZ``
-    per qubit).  Used by the hybrid backend to materialise per-member
-    trajectory states from the tableau state plus each member's Pauli frame.
+    per qubit).  The stabilizer backend uses it to project onto its
+    stabilizers when densifying, and the hybrid backend to materialise
+    per-member trajectory states from the tableau state plus each frame.
     """
     indices = np.arange(data.shape[0])
     signs = 1.0 - 2.0 * _index_parity(indices & np.int64(z_mask))
@@ -362,30 +368,3 @@ def pauli_mask_kernel(
     out = np.empty_like(data)
     out[indices ^ x_mask] = (1j ** y_count) * signs * data
     return out
-
-
-def apply_controlled_inplace(
-    data: np.ndarray,
-    num_qubits: int,
-    matrix: np.ndarray,
-    controls: Sequence[int],
-    targets: Sequence[int],
-) -> np.ndarray:
-    """Apply ``matrix`` on ``targets`` where every control bit is 1, in place.
-
-    This is the index-masked kernel: the dense controlled unitary is never
-    materialised, and amplitudes outside the control-satisfied subspace are
-    never touched (they are the identity part of the controlled gate).
-    """
-    if not controls:
-        return apply_matrix_inplace(data, num_qubits, matrix, targets)
-    if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
-        from . import gates as _gates
-
-        full = _gates.controlled(matrix, num_controls=len(controls))
-        return apply_matrix_inplace(
-            data, num_qubits, full, list(controls) + list(targets)
-        )
-    base = _subspace_indices(num_qubits, zero_bits=targets, one_bits=controls)
-    _gather_apply(data, matrix, targets, base)
-    return data

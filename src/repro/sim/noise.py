@@ -10,7 +10,10 @@ completely positive trace-preserving map given by its Kraus operators::
 The constructors below build the textbook channels (Nielsen & Chuang ch. 8);
 :class:`NoiseModel` bundles a per-gate channel list with the classical
 :class:`~repro.sim.measurement.ReadoutErrorModel` so one object describes a
-noisy machine.
+noisy machine.  The trajectory engines draw their Pauli noise through
+:class:`PauliChannelSampler` tables, one uniform per member from per-member
+streams (:class:`StreamPool`), and every noisy backend places gate channels
+by the one touched-qubit contract of :func:`noise_events`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ __all__ = [
     "NoiseModel",
     "PauliMixture",
     "PauliChannelSampler",
+    "StreamPool",
+    "as_member_streams",
+    "noise_events",
+    "spawn_trajectory_streams",
     "amplitude_damping",
     "depolarizing",
     "two_qubit_depolarizing",
@@ -211,6 +218,88 @@ class PauliChannelSampler:
         if self.indices is None:
             raise ValueError("sample() needs a 1-qubit mixture; use sample_positions")
         return self.indices[self.sample_positions(uniforms)]
+
+
+def spawn_trajectory_streams(
+    seed: "int | np.random.SeedSequence | None", count: int
+) -> list[np.random.Generator]:
+    """Independent per-trajectory rng streams via ``SeedSequence.spawn``.
+
+    This is the one sanctioned way to build trajectory streams: spawned
+    children are statistically independent *and* reproducible from the root
+    entropy, unlike handing every member the same shared ``Generator``
+    (whose draw order would silently couple members under re-batching).
+    """
+    if count <= 0:
+        raise ValueError("stream count must be positive")
+    root = (
+        seed
+        if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)
+    )
+    return [np.random.default_rng(child) for child in root.spawn(count)]
+
+
+class StreamPool:
+    """Block-buffered per-member uniform draws from per-trajectory streams.
+
+    ``Generator.random(block)`` yields the identical double sequence as
+    repeated scalar ``random()`` calls, so buffering preserves the
+    one-uniform-per-member-per-event contract exactly while collapsing the
+    per-event cost from one Python call per member to a vectorised gather
+    (refills touch a member only once per ``block`` of its own events).
+    The hybrid backend shares one pool across its tableau and dense stages,
+    which is what keeps a member's uniform sequence identical to a pure
+    trajectory walk of the same streams.
+    """
+
+    _BLOCK = 256
+
+    def __init__(self, streams: Sequence[np.random.Generator]):
+        self.streams = list(streams)
+        count = len(self.streams)
+        self._buffer = np.empty((count, self._BLOCK), dtype=float)
+        # All positions start exhausted: members fill lazily on first draw.
+        self._positions = np.full(count, self._BLOCK, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.streams)
+
+    def draw(self, members: np.ndarray | None = None) -> np.ndarray:
+        """One uniform per (selected) member, each from its own stream."""
+        if members is None:
+            members = np.arange(len(self.streams))
+        exhausted = members[self._positions[members] >= self._BLOCK]
+        for member in exhausted:
+            self._buffer[member] = self.streams[member].random(self._BLOCK)
+            self._positions[member] = 0
+        values = self._buffer[members, self._positions[members]]
+        self._positions[members] += 1
+        return values
+
+
+def as_member_streams(
+    streams: "Sequence[np.random.Generator] | StreamPool", count: int
+) -> StreamPool:
+    """Validate per-member noise streams and wrap them in a shared pool.
+
+    Accepts an existing :class:`StreamPool` (the hybrid backend threads one
+    pool through both of its stages) or a sequence of exactly ``count``
+    ``numpy.random.Generator`` instances.
+    """
+    if isinstance(streams, StreamPool):
+        if len(streams) != count:
+            raise ValueError(
+                f"need {count} rng streams, got {len(streams)}"
+            )
+        return streams
+    streams = list(streams)
+    if len(streams) != count:
+        raise ValueError(f"need {count} rng streams, got {len(streams)}")
+    for stream in streams:
+        if not isinstance(stream, np.random.Generator):
+            raise TypeError("rng streams must be numpy Generators")
+    return StreamPool(streams)
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,3 +567,24 @@ class NoiseModel:
         frames); anything else needs the density-matrix backend.
         """
         return all(channel.is_pauli for channel in self.gate_channels)
+
+
+def noise_events(channels: Sequence, touched: Sequence[int]):
+    """Yield ``(channel, qubits)`` for the gate channels one gate triggers.
+
+    This is the touched-qubit contract of every noisy backend: the touched
+    qubits are deduplicated in order, each single-qubit channel fires once
+    per touched qubit, and each two-qubit (correlated) channel fires once per
+    gate on the first two touched qubits, only when the gate touches at
+    least two.  ``channels`` are Kraus channels or Pauli samplers; anything
+    with a ``num_qubits`` of 1 or 2.
+    """
+    seen = list(dict.fromkeys(touched))
+    for qubit in seen:
+        for channel in channels:
+            if channel.num_qubits == 1:
+                yield channel, (qubit,)
+    if len(seen) >= 2:
+        for channel in channels:
+            if channel.num_qubits == 2:
+                yield channel, tuple(seen[:2])

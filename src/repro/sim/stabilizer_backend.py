@@ -74,16 +74,11 @@ from .kernels import (
     unpack_words_to_bits,
 )
 from .measurement import ReadoutErrorModel
-from .noise import KrausChannel, NoiseModel, PauliChannelSampler
+from .noise import KrausChannel, NoiseModel
 from .pauli_frame import PauliFrameSet
-from .statevector import Statevector, _as_rng
-from .trajectory_backend import (
-    StreamPool,
-    TrajectoryNoiseBackend,
-    as_member_streams,
-    iter_noise_events,
-    spawn_trajectory_streams,
-)
+from .statevector import Statevector, _as_rng, _draw_outcomes
+from .statevector import _validated_matrix, _validated_qubits
+from .trajectory_backend import TrajectoryNoiseBackend, iter_noise_events
 
 __all__ = [
     "StabilizerBackend",
@@ -767,41 +762,11 @@ class StabilizerBackend(SimulationBackend):
     ):
         super().__init__()
         self._tableau: _Tableau | None = None
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_size = int(batch_size)
-        channels = self.noise.gate_channels if self.noise is not None else ()
-        boost = self.noise.importance_boost if self.noise is not None else None
-        try:
-            self._samplers = tuple(
-                PauliChannelSampler(
-                    channel.pauli_decomposition(), importance_boost=boost
-                )
-                for channel in channels
-            )
-        except ValueError as exc:
-            raise ValueError(
-                "the stabilizer tableau only carries Pauli noise (frames); "
-                f"{exc}"
-            ) from None
-        self._biased = any(sampler.is_biased for sampler in self._samplers)
-        self._weights: np.ndarray | None = (
-            np.ones(self._batch_size) if self._biased else None
-        )
-        self._carries_frames = bool(self._samplers) or self._batch_size > 1
-        if self._carries_frames:
-            if rng_streams is not None:
-                self._pool = as_member_streams(rng_streams, self._batch_size)
-            else:
-                self._pool = StreamPool(
-                    spawn_trajectory_streams(seed, self._batch_size)
-                )
-        else:
-            self._pool = None
+        # The tableau has no native readout path: readout corruption stays
+        # with the caller.
+        self._setup_noise(noise, None, batch_size, rng_streams, seed)
+        # Noise or a batch puts per-member Pauli frames on the shared tableau.
+        self._carries_frames = self._pool is not None
         self._frames: PauliFrameSet | None = None
         if num_qubits is not None:
             self.initialize(num_qubits)
@@ -810,10 +775,6 @@ class StabilizerBackend(SimulationBackend):
     def statevector_gates_applied(self) -> int:
         """The tableau never touches a dense representation."""
         return 0
-
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
 
     @property
     def frames(self) -> PauliFrameSet | None:
@@ -911,14 +872,9 @@ class StabilizerBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "StabilizerBackend":
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits)
-        matrix = np.asarray(matrix, dtype=complex)
-        k = len(qubit_list)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on {k} qubit(s)"
-            )
-        ops = decompose_gate(matrix, k)
+        qubit_list = _validated_qubits(qubits, tableau.n)
+        matrix = _validated_matrix(matrix, len(qubit_list))
+        ops = decompose_gate(matrix, len(qubit_list))
         tableau.apply_ops(ops, qubit_list)
         if self._frames is not None:
             self._frames.apply_ops(ops, qubit_list)
@@ -933,16 +889,9 @@ class StabilizerBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "StabilizerBackend":
         tableau = self._require_tableau()
-        control_list = self._validated_qubits(controls)
-        target_list = self._validated_qubits(targets)
-        if set(control_list) & set(target_list):
-            raise ValueError("control and target qubits overlap")
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << len(target_list), 1 << len(target_list)):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{len(target_list)} qubit(s)"
-            )
+        control_list = _validated_qubits(controls, tableau.n)
+        target_list = _validated_qubits(targets, tableau.n, control_list)
+        matrix = _validated_matrix(matrix, len(target_list))
         ops = decompose_controlled_gate(matrix, len(control_list), len(target_list))
         tableau.apply_ops(ops, control_list + target_list)
         if self._frames is not None:
@@ -969,16 +918,6 @@ class StabilizerBackend(SimulationBackend):
             weights=self._weights,
         ):
             self._frames.inject(qubit, paulis)
-
-    def member_weights(self) -> np.ndarray | None:
-        """Per-member likelihood-ratio weights, or ``None`` when unbiased.
-
-        Non-``None`` exactly when the noise model carries an
-        ``importance_boost``: each entry is the running product of the
-        likelihood ratios of that member's sampled noise events, and
-        ensemble statistics must be weighted by them to stay unbiased.
-        """
-        return None if self._weights is None else self._weights.copy()
 
     # -- Pauli observables ----------------------------------------------
 
@@ -1025,8 +964,8 @@ class StabilizerBackend(SimulationBackend):
         O(support x k x n²), so huge registers are fine as long as the state
         has small measurement support on them (GHZ: support 2 at any width).
         """
-        qubit_list = self._validated_qubits(qubits)
         tableau = self._require_tableau()
+        qubit_list = _validated_qubits(qubits, tableau.n)
         distribution = tableau_outcome_distribution(tableau, qubit_list)
         assert distribution is not None  # no cap: enumeration always completes
         return distribution
@@ -1054,7 +993,7 @@ class StabilizerBackend(SimulationBackend):
         """
         if qubits is None:
             qubits = list(range(self.num_qubits))
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = _validated_qubits(qubits, self.num_qubits)
         base = self._tableau_probabilities(qubit_list)
         if self._frames is None or self._frames.is_identity:
             return base
@@ -1080,18 +1019,14 @@ class StabilizerBackend(SimulationBackend):
         member ``m``'s sample is one noisy execution.  Other shot counts draw
         i.i.d. from the frame-averaged mixture.
         """
-        rng = _as_rng(rng)
         if qubits is None:
             qubits = list(range(self.num_qubits))
-        qubit_list = self._validated_qubits(qubits)
+        qubit_list = _validated_qubits(qubits, self.num_qubits)
         if self._frames is not None and shots == self._batch_size:
             base = self._tableau_probabilities(qubit_list)
-            base = base / base.sum()
-            draws = rng.choice(len(base), size=shots, p=base)
+            draws = _draw_outcomes(base, rng, shots)
             return draws ^ self._frames.outcome_flips(qubit_list)
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
+        return _draw_outcomes(self.probabilities(qubit_list), rng, shots)
 
     def measure(
         self,
@@ -1109,8 +1044,7 @@ class StabilizerBackend(SimulationBackend):
         the corresponding base outcome.
         """
         tableau = self._require_tableau()
-        qubit_list = self._validated_qubits(qubits)
-        rng = _as_rng(rng)
+        qubit_list = _validated_qubits(qubits, tableau.n)
         flip = 0
         if self._frames is not None:
             if self._batch_size != 1:
@@ -1119,9 +1053,7 @@ class StabilizerBackend(SimulationBackend):
                     "use batch_size=1 (the executor's 'rerun' mode does)"
                 )
             flip = int(self._frames.outcome_flips(qubit_list)[0])
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
+        outcome = int(_draw_outcomes(self.probabilities(qubit_list), rng))
         base_outcome = outcome ^ flip
         for position, q in enumerate(qubit_list):
             bit = (base_outcome >> position) & 1
@@ -1152,7 +1084,7 @@ class StabilizerBackend(SimulationBackend):
         if self._frames is None:
             return super().prep_qubit(qubit, value, rng=rng)
         tableau = self._require_tableau()
-        (qubit,) = self._validated_qubits([qubit])
+        (qubit,) = _validated_qubits([qubit], tableau.n)
         value = int(value)
         deterministic = tableau.deterministic_outcome(qubit)
         if deterministic is None:
@@ -1200,12 +1132,13 @@ class StabilizerBackend(SimulationBackend):
             basis |= outcome << q
         amplitudes = np.zeros(1 << n, dtype=complex)
         amplitudes[basis] = 1.0
-        indices = np.arange(1 << n)
         packed = tableau._ensure_packed()
         for row in range(n, 2 * n):
-            amplitudes = 0.5 * (
-                amplitudes + self._apply_pauli_row(packed, row, amplitudes, indices)
-            )
+            # The stabilizer row (-1)^r P as a signed amplitude permutation.
+            stabilized = pauli_mask_kernel(amplitudes, *packed.row_masks(row))
+            if packed.r[row]:
+                stabilized = -stabilized
+            amplitudes = 0.5 * (amplitudes + stabilized)
         norm = np.linalg.norm(amplitudes)
         if norm < 1e-12:  # pragma: no cover - support search guarantees overlap
             raise RuntimeError("stabilizer projection annihilated the probe state")
@@ -1242,44 +1175,12 @@ class StabilizerBackend(SimulationBackend):
         finally:
             self._frames = frames
 
-    @staticmethod
-    def _apply_pauli_row(
-        packed: _PackedRows, row: int, amplitudes: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Apply the Pauli encoded in packed row ``row`` to a dense vector."""
-        x_mask, z_mask = packed.row_masks(row)
-        y_count = (x_mask & z_mask).bit_count()
-        # Parity of the Z-checked bits of each index -> (-1)^(b.z)
-        masked = indices & z_mask
-        parity = masked
-        for shift in (16, 8, 4, 2, 1):
-            parity = parity ^ (parity >> shift)
-        signs = 1.0 - 2.0 * (parity & 1)
-        phase = (-1.0) ** int(packed.r[row]) * (1j) ** y_count
-        result = np.zeros_like(amplitudes)
-        result[indices ^ x_mask] = phase * signs * amplitudes
-        return result
-
     # -- helpers --------------------------------------------------------
 
     def _require_tableau(self) -> _Tableau:
         if self._tableau is None:
             raise RuntimeError("backend not initialised; call initialize() first")
         return self._tableau
-
-    def _validated_qubits(self, qubits: Sequence[int]) -> list[int]:
-        tableau = self._require_tableau()
-        if isinstance(qubits, (int, np.integer)):
-            qubits = [int(qubits)]
-        qubit_list = [int(q) for q in qubits]
-        if len(set(qubit_list)) != len(qubit_list):
-            raise ValueError(f"duplicate qubits in {qubit_list}")
-        for q in qubit_list:
-            if not 0 <= q < tableau.n:
-                raise ValueError(
-                    f"qubit index {q} out of range for {tableau.n} qubits"
-                )
-        return qubit_list
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         qubits = self._tableau.n if self._tableau is not None else None
@@ -1324,26 +1225,10 @@ class HybridCliffordBackend(SimulationBackend):
         super().__init__()
         self._engine: SimulationBackend | None = None
         self._num_qubits: int | None = None
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_size = int(batch_size)
-        self._noisy = self.noise is not None and bool(self.noise.gate_channels)
-        if self._noisy or self._batch_size > 1:
-            # One pool shared by both stages: a member's uniform sequence is
-            # then identical to a pure trajectory walk of the same streams,
-            # regardless of where the conversion lands.
-            if rng_streams is not None:
-                self._pool = as_member_streams(rng_streams, self._batch_size)
-            else:
-                self._pool = StreamPool(
-                    spawn_trajectory_streams(seed, self._batch_size)
-                )
-        else:
-            self._pool = None
+        # One pool shared by both stages: a member's uniform sequence is then
+        # identical to a pure trajectory walk of the same streams, regardless
+        # of where the conversion lands.  Readout stays with the caller.
+        self._setup_noise(noise, None, batch_size, rng_streams, seed)
         #: Number of tableau->statevector conversions performed (0 or 1 per walk).
         self.conversions = 0
         self._dense_gates = 0
@@ -1354,10 +1239,6 @@ class HybridCliffordBackend(SimulationBackend):
     def statevector_gates_applied(self) -> int:
         """Gate applications executed on the dense statevector stage."""
         return self._dense_gates
-
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
 
     def _new_tableau_stage(self) -> StabilizerBackend:
         if self._pool is None:
@@ -1478,18 +1359,7 @@ class HybridCliffordBackend(SimulationBackend):
     def apply_matrix(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "HybridCliffordBackend":
-        engine = self._require_engine()
-        if isinstance(engine, StabilizerBackend):
-            try:
-                engine.apply_matrix(matrix, qubits)
-            except NotCliffordGateError:
-                self._densify().apply_matrix(matrix, qubits)
-                self._dense_gates += 1
-        else:
-            engine.apply_matrix(matrix, qubits)
-            self._dense_gates += 1
-        self.gates_applied += 1
-        return self
+        return self._apply(lambda engine: engine.apply_matrix(matrix, qubits))
 
     def apply_controlled(
         self,
@@ -1497,15 +1367,22 @@ class HybridCliffordBackend(SimulationBackend):
         controls: Sequence[int],
         targets: Sequence[int],
     ) -> "HybridCliffordBackend":
+        return self._apply(
+            lambda engine: engine.apply_controlled(matrix, controls, targets)
+        )
+
+    def _apply(self, gate) -> "HybridCliffordBackend":
+        """Run ``gate(engine)`` on the live stage, converting on the first
+        gate the tableau rejects."""
         engine = self._require_engine()
         if isinstance(engine, StabilizerBackend):
             try:
-                engine.apply_controlled(matrix, controls, targets)
+                gate(engine)
             except NotCliffordGateError:
-                self._densify().apply_controlled(matrix, controls, targets)
+                gate(self._densify())
                 self._dense_gates += 1
         else:
-            engine.apply_controlled(matrix, controls, targets)
+            gate(engine)
             self._dense_gates += 1
         self.gates_applied += 1
         return self
@@ -1514,8 +1391,7 @@ class HybridCliffordBackend(SimulationBackend):
 
     def member_weights(self) -> "np.ndarray | None":
         """Per-member likelihood-ratio weights of the live stage (or None)."""
-        getter = getattr(self._require_engine(), "member_weights", None)
-        return None if getter is None else getter()
+        return self._require_engine().member_weights()
 
     def probabilities(self, qubits: Sequence[int] | None = None) -> np.ndarray:
         return self._require_engine().probabilities(qubits)

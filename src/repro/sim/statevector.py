@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +26,61 @@ from . import kernels as _kernels
 __all__ = ["Statevector"]
 
 
-def _as_qubit_list(qubits: Sequence[int] | int) -> list[int]:
-    if isinstance(qubits, (int, np.integer)):
-        return [int(qubits)]
-    return [int(q) for q in qubits]
+def _validated_qubits(
+    qubits: Sequence[int] | int, num_qubits: int, controls: Sequence[int] = ()
+) -> list[int]:
+    """The operand list of every backend: distinct, in-range integer qubits.
+
+    ``qubits`` is a bare integer or a sequence of ``int``/``np.integer``
+    indices.  ``bool`` and non-integral indices (``1.7``, ``"1"``) raise a
+    ``TypeError`` naming the index instead of being truncated.  Targets of a
+    controlled gate pass their already validated ``controls``, which they must
+    not overlap.
+    """
+    if isinstance(qubits, str) or not hasattr(qubits, "__iter__"):
+        qubits = (qubits,)
+    qubit_list = []
+    for q in qubits:
+        if type(q) is not int:
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                raise TypeError(f"qubit index must be an integer, got {q!r}")
+            q = int(q)
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
+        qubit_list.append(q)
+    if len(set(qubit_list)) != len(qubit_list):
+        raise ValueError(f"duplicate qubits in {qubit_list}")
+    if controls and not set(controls).isdisjoint(qubit_list):
+        raise ValueError("control and target qubits overlap")
+    return qubit_list
+
+
+def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
+    """``matrix`` as a complex ``2**k x 2**k`` array for ``k = num_targets``."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (1 << num_targets, 1 << num_targets):
+        raise ValueError(
+            f"matrix of shape {matrix.shape} does not act on {num_targets} qubit(s)"
+        )
+    return matrix
+
+
+def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
+    """Normalise the three accepted RNG spellings into a Generator."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(rng)
+
+
+def _draw_outcomes(
+    probabilities: np.ndarray,
+    rng: np.random.Generator | int | None,
+    shots: int | None = None,
+) -> np.ndarray:
+    """The readout draw of every backend: one ``rng.choice`` over the
+    renormalised outcome distribution (``shots=None`` draws one outcome)."""
+    probabilities = probabilities / probabilities.sum()
+    return _as_rng(rng).choice(len(probabilities), size=shots, p=probabilities)
 
 
 class Statevector:
@@ -151,15 +202,11 @@ class Statevector:
         ``qubits[0]`` is the least significant index of the matrix, matching
         the layout of :mod:`repro.sim.gates`.
         """
-        qubit_list = _as_qubit_list(qubits)
-        self._validate_qubits(qubit_list)
-        k = len(qubit_list)
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on {k} qubit(s)"
-            )
-        _kernels.apply_matrix_inplace(self.data, self.num_qubits, matrix, qubit_list)
+        qubit_list = _validated_qubits(qubits, self.num_qubits)
+        matrix = _validated_matrix(matrix, len(qubit_list))
+        _kernels.apply_matrix_batched(
+            self.data.reshape(1, -1), self.num_qubits, matrix, qubit_list
+        )
         return self
 
     def apply_controlled(
@@ -173,42 +220,17 @@ class Statevector:
         The base matrix is applied only on the control-satisfied subspace
         (index masking); the dense controlled unitary is never materialised.
         """
-        control_list = _as_qubit_list(controls)
-        target_list = _as_qubit_list(targets)
-        if set(control_list) & set(target_list):
-            raise ValueError("control and target qubits overlap")
-        self._validate_qubits(control_list + target_list)
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << len(target_list), 1 << len(target_list)):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{len(target_list)} qubit(s)"
-            )
-        _kernels.apply_controlled_inplace(
-            self.data, self.num_qubits, matrix, control_list, target_list
+        control_list = _validated_qubits(controls, self.num_qubits)
+        target_list = _validated_qubits(targets, self.num_qubits, control_list)
+        matrix = _validated_matrix(matrix, len(target_list))
+        _kernels.apply_controlled_batched(
+            self.data.reshape(1, -1), self.num_qubits, matrix, control_list, target_list
         )
         return self
 
     def apply_gate(self, name: str, qubits: Sequence[int] | int, *params: float) -> "Statevector":
         """Apply a named gate from the :mod:`repro.sim.gates` library."""
-        key = name.lower()
-        if key in _gates.FIXED_GATES:
-            if params:
-                raise ValueError(f"gate {name!r} takes no parameters")
-            return self.apply_matrix(_gates.FIXED_GATES[key], qubits)
-        if key in _gates.GATE_BUILDERS:
-            builder = _gates.GATE_BUILDERS[key]
-            return self.apply_matrix(builder(*params), qubits)
-        raise KeyError(f"unknown gate {name!r}")
-
-    def _validate_qubits(self, qubits: Sequence[int]) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubits in {qubits}")
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {self.num_qubits} qubits"
-                )
+        return self.apply_matrix(_gates.gate_matrix(name, params), qubits)
 
     # ------------------------------------------------------------------
     # Probabilities, sampling and measurement
@@ -225,8 +247,7 @@ class Statevector:
         probs = np.abs(self.data) ** 2
         if qubits is None:
             return probs
-        qubit_list = _as_qubit_list(qubits)
-        self._validate_qubits(qubit_list)
+        qubit_list = _validated_qubits(qubits, self.num_qubits)
         return _kernels.marginal_probabilities(probs, self.num_qubits, qubit_list)
 
     def probability_of_outcome(self, qubits: Sequence[int], value: int) -> float:
@@ -248,10 +269,7 @@ class Statevector:
         breakpoint program, sampling the final distribution is statistically
         identical to running the program ``shots`` times.
         """
-        rng = _as_rng(rng)
-        probs = self.probabilities(qubits)
-        probs = probs / probs.sum()
-        return rng.choice(len(probs), size=shots, p=probs)
+        return _draw_outcomes(self.probabilities(qubits), rng, shots)
 
     def sample_counts(
         self,
@@ -273,23 +291,15 @@ class Statevector:
         Returns the measured integer value (little-endian in the qubit order
         given).  The state is renormalised after the projection.
         """
-        qubit_list = _as_qubit_list(qubits)
-        rng = _as_rng(rng)
-        probs = self.probabilities(qubit_list)
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
+        qubit_list = _validated_qubits(qubits, self.num_qubits)
+        outcome = int(_draw_outcomes(self.probabilities(qubit_list), rng))
         self.project(qubit_list, outcome)
         return outcome
 
     def project(self, qubits: Sequence[int] | int, value: int) -> "Statevector":
         """Project onto the subspace where ``qubits`` encode ``value``."""
-        qubit_list = _as_qubit_list(qubits)
-        self._validate_qubits(qubit_list)
-        indices = np.arange(self.dim)
-        mask = np.ones(self.dim, dtype=bool)
-        for position, qubit in enumerate(qubit_list):
-            bit = (value >> position) & 1
-            mask &= ((indices >> qubit) & 1) == bit
+        qubit_list = _validated_qubits(qubits, self.num_qubits)
+        mask = _kernels.outcome_mask(self.num_qubits, qubit_list, value)
         projected = np.where(mask, self.data, 0.0)
         norm = np.linalg.norm(projected)
         if norm < 1e-15:
@@ -345,10 +355,3 @@ class Statevector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Statevector(num_qubits={self.num_qubits})"
-
-
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Normalise the three accepted RNG spellings into a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

@@ -43,94 +43,22 @@ from .kernels import (
     apply_matrix_batched,
     apply_pauli_batched,
     marginal_probabilities,
+    outcome_mask,
 )
 from .measurement import ReadoutErrorModel
-from .noise import KrausChannel, NoiseModel, PauliChannelSampler
-from .statevector import Statevector, _as_rng
+from .noise import (
+    KrausChannel,
+    NoiseModel,
+    PauliChannelSampler,
+    StreamPool,
+    as_member_streams,
+    noise_events,
+    spawn_trajectory_streams,
+)
+from .statevector import Statevector, _as_rng, _draw_outcomes
+from .statevector import _validated_matrix, _validated_qubits
 
 __all__ = ["TrajectoryNoiseBackend", "spawn_trajectory_streams"]
-
-
-def spawn_trajectory_streams(
-    seed: "int | np.random.SeedSequence | None", count: int
-) -> list[np.random.Generator]:
-    """Independent per-trajectory rng streams via ``SeedSequence.spawn``.
-
-    This is the one sanctioned way to build trajectory streams: spawned
-    children are statistically independent *and* reproducible from the root
-    entropy, unlike handing every member the same shared ``Generator``
-    (whose draw order would silently couple members under re-batching).
-    """
-    if count <= 0:
-        raise ValueError("stream count must be positive")
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
-class StreamPool:
-    """Block-buffered per-member uniform draws from per-trajectory streams.
-
-    ``Generator.random(block)`` yields the identical double sequence as
-    repeated scalar ``random()`` calls, so buffering preserves the
-    one-uniform-per-member-per-event contract exactly while collapsing the
-    per-event cost from one Python call per member to a vectorised gather
-    (refills touch a member only once per ``block`` of its own events).
-    The hybrid backend shares one pool across its tableau and dense stages,
-    which is what keeps a member's uniform sequence identical to a pure
-    trajectory walk of the same streams.
-    """
-
-    _BLOCK = 256
-
-    def __init__(self, streams: Sequence[np.random.Generator]):
-        self.streams = list(streams)
-        count = len(self.streams)
-        self._buffer = np.empty((count, self._BLOCK), dtype=float)
-        # All positions start exhausted: members fill lazily on first draw.
-        self._positions = np.full(count, self._BLOCK, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.streams)
-
-    def draw(self, members: np.ndarray | None = None) -> np.ndarray:
-        """One uniform per (selected) member, each from its own stream."""
-        if members is None:
-            members = np.arange(len(self.streams))
-        exhausted = members[self._positions[members] >= self._BLOCK]
-        for member in exhausted:
-            self._buffer[member] = self.streams[member].random(self._BLOCK)
-            self._positions[member] = 0
-        values = self._buffer[members, self._positions[members]]
-        self._positions[members] += 1
-        return values
-
-
-def as_member_streams(
-    streams: "Sequence[np.random.Generator] | StreamPool", count: int
-) -> StreamPool:
-    """Validate per-member noise streams and wrap them in a shared pool.
-
-    Accepts an existing :class:`StreamPool` (the hybrid backend threads one
-    pool through both of its stages) or a sequence of exactly ``count``
-    ``numpy.random.Generator`` instances.
-    """
-    if isinstance(streams, StreamPool):
-        if len(streams) != count:
-            raise ValueError(
-                f"need {count} rng streams, got {len(streams)}"
-            )
-        return streams
-    streams = list(streams)
-    if len(streams) != count:
-        raise ValueError(f"need {count} rng streams, got {len(streams)}")
-    for stream in streams:
-        if not isinstance(stream, np.random.Generator):
-            raise TypeError("rng streams must be numpy Generators")
-    return StreamPool(streams)
 
 
 def iter_noise_events(
@@ -144,12 +72,11 @@ def iter_noise_events(
     """Yield ``(qubit, paulis)`` for one gate's noise events.
 
     This is the single implementation of the trajectory sampling contract,
-    shared by the statevector batch and the tableau Pauli frames: one event
-    per (touched qubit, single-qubit channel), consuming exactly one uniform
-    per member from that member's own stream.  Two-qubit (correlated)
-    channels fire **once per gate** — only when the gate touches at least
-    two distinct qubits — on the first two touched qubits, consuming one
-    uniform per member and yielding one per-qubit event per tensor factor.
+    shared by the statevector batch and the tableau Pauli frames.  Channels
+    fire by the touched-qubit contract of :func:`repro.sim.noise.noise_events`
+    (the density backend places its Kraus channels by it too); each firing
+    consumes exactly one uniform per member from that member's own stream,
+    and a two-qubit channel yields one per-qubit event per tensor factor.
 
     ``members`` optionally restricts the event to a boolean mask (per-member
     prep corrections): only masked members draw and receive a Pauli, so a
@@ -167,38 +94,19 @@ def iter_noise_events(
         active = np.flatnonzero(members)
         if not active.size:
             return
-    seen: list[int] = []
-    for qubit in touched:
-        if qubit not in seen:
-            seen.append(qubit)
-
-    def _draw(sampler):
-        uniforms = pool.draw(active)
-        positions = sampler.sample_positions(uniforms)
+    for sampler, qubits in noise_events(samplers, touched):
+        positions = sampler.sample_positions(pool.draw(active))
         if weights is not None and sampler.ratios is not None:
             target = slice(None) if active is None else active
             weights[target] *= sampler.ratios[positions]
-        return positions
-
-    def _deliver(qubit, codes):
-        if active is None:
-            return qubit, codes
-        paulis = np.zeros(batch_size, dtype=np.int64)
-        paulis[active] = codes
-        return qubit, paulis
-
-    single = [s for s in samplers if s.num_qubits == 1]
-    double = [s for s in samplers if s.num_qubits == 2]
-    for qubit in seen:
-        for sampler in single:
-            positions = _draw(sampler)
-            yield _deliver(qubit, sampler.codes[positions, 0])
-    if double and len(seen) >= 2:
-        pair = seen[:2]
-        for sampler in double:
-            positions = _draw(sampler)
-            for slot, qubit in enumerate(pair):
-                yield _deliver(qubit, sampler.codes[positions, slot])
+        for slot, qubit in enumerate(qubits):
+            codes = sampler.codes[positions, slot]
+            if active is None:
+                yield qubit, codes
+            else:
+                paulis = np.zeros(batch_size, dtype=np.int64)
+                paulis[active] = codes
+                yield qubit, paulis
 
 
 class TrajectoryNoiseBackend(SimulationBackend):
@@ -236,44 +144,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         readout_error: ReadoutErrorModel | None = None,
     ):
         super().__init__()
-        if noise is None or isinstance(noise, NoiseModel):
-            self.noise = noise
-        else:
-            self.noise = NoiseModel.from_channels(noise)
-        if readout_error is not None:
-            self.readout_error = readout_error
-        elif self.noise is not None:
-            self.readout_error = self.noise.readout
-        else:
-            self.readout_error = ReadoutErrorModel()
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_size = int(batch_size)
-        channels = self.noise.gate_channels if self.noise is not None else ()
-        boost = self.noise.importance_boost if self.noise is not None else None
-        try:
-            self._samplers = tuple(
-                PauliChannelSampler(
-                    channel.pauli_decomposition(), importance_boost=boost
-                )
-                for channel in channels
-            )
-        except ValueError as exc:
-            raise ValueError(
-                "trajectory unraveling needs Pauli-mixture gate channels; "
-                f"{exc}.  Non-Pauli channels (e.g. amplitude damping) need "
-                "the density-matrix backend."
-            ) from None
-        self._biased = any(sampler.is_biased for sampler in self._samplers)
-        self._weights: np.ndarray | None = (
-            np.ones(self._batch_size) if self._biased else None
-        )
-        if rng_streams is not None:
-            self._pool = as_member_streams(rng_streams, self._batch_size)
-        else:
-            self._pool = StreamPool(
-                spawn_trajectory_streams(seed, self._batch_size)
-            )
+        self._setup_noise(noise, readout_error, batch_size, rng_streams, seed)
         self._batch: np.ndarray | None = None
         self._num_qubits: int | None = None
         if num_qubits is not None:
@@ -325,25 +196,11 @@ class TrajectoryNoiseBackend(SimulationBackend):
         self._require_batch()
         return int(self._num_qubits)
 
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
-
     def set_rng_streams(
         self, streams: "Sequence[np.random.Generator] | StreamPool"
     ) -> None:
         """Install per-member noise streams (one Generator per member)."""
         self._pool = as_member_streams(streams, self._batch_size)
-
-    def member_weights(self) -> np.ndarray | None:
-        """Per-member likelihood-ratio weights, or ``None`` when unbiased.
-
-        The weights are the running product of the importance-sampling
-        likelihood ratios of every noise event a member has drawn; ensemble
-        averages of per-member statistics must be weighted by them to stay
-        unbiased estimates of the true (unbiased-noise) ensemble.
-        """
-        return None if self._weights is None else self._weights.copy()
 
     def set_member_weights(self, weights: "np.ndarray | None") -> None:
         """Adopt accumulated weights (the hybrid conversion path)."""
@@ -356,9 +213,6 @@ class TrajectoryNoiseBackend(SimulationBackend):
                 f"expected {self._batch_size} member weights, got {weights.shape}"
             )
         self._weights = weights.copy()
-
-    def set_readout_error(self, model: ReadoutErrorModel | None) -> None:
-        self.readout_error = model or ReadoutErrorModel()
 
     def snapshot(self) -> np.ndarray:
         return self._require_batch().copy()
@@ -377,8 +231,8 @@ class TrajectoryNoiseBackend(SimulationBackend):
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "TrajectoryNoiseBackend":
         batch = self._require_batch()
-        qubit_list = self._validated_qubits(qubits)
-        matrix = self._validated_matrix(matrix, len(qubit_list))
+        qubit_list = _validated_qubits(qubits, self._num_qubits)
+        matrix = _validated_matrix(matrix, len(qubit_list))
         apply_matrix_batched(batch, self._num_qubits, matrix, qubit_list)
         self.gates_applied += 1
         self._apply_gate_noise(qubit_list)
@@ -391,11 +245,9 @@ class TrajectoryNoiseBackend(SimulationBackend):
         targets: Sequence[int],
     ) -> "TrajectoryNoiseBackend":
         batch = self._require_batch()
-        control_list = self._validated_qubits(controls)
-        target_list = self._validated_qubits(targets)
-        if set(control_list) & set(target_list):
-            raise ValueError("control and target qubits overlap")
-        matrix = self._validated_matrix(matrix, len(target_list))
+        control_list = _validated_qubits(controls, self._num_qubits)
+        target_list = _validated_qubits(targets, self._num_qubits, control_list)
+        matrix = _validated_matrix(matrix, len(target_list))
         apply_controlled_batched(
             batch, self._num_qubits, matrix, control_list, target_list
         )
@@ -435,7 +287,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         if qubits is None:
             rows = weights
         else:
-            qubit_list = self._validated_qubits(qubits)
+            qubit_list = _validated_qubits(qubits, self._num_qubits)
             rows = np.stack(
                 [
                     marginal_probabilities(row, self._num_qubits, qubit_list)
@@ -484,9 +336,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
             uniforms = rng.random(self._batch_size)
             outcomes = (cumulative < uniforms[:, None]).sum(axis=1)
             return np.minimum(outcomes, member_probs.shape[1] - 1)
-        averaged = member_probs.mean(axis=0)
-        averaged = averaged / averaged.sum()
-        return rng.choice(len(averaged), size=shots, p=averaged)
+        return _draw_outcomes(member_probs.mean(axis=0), rng, shots)
 
     def measure(
         self,
@@ -507,11 +357,8 @@ class TrajectoryNoiseBackend(SimulationBackend):
                 "use batch_size=1 (the executor's 'rerun' mode does)"
             )
         self._require_batch()
-        qubit_list = self._validated_qubits(qubits)
-        rng = _as_rng(rng)
-        probs = self.member_probabilities(qubit_list)[0]
-        probs = probs / probs.sum()
-        outcome = int(rng.choice(len(probs), p=probs))
+        qubit_list = _validated_qubits(qubits, self._num_qubits)
+        outcome = int(_draw_outcomes(self.member_probabilities(qubit_list)[0], rng))
         self._project_member(0, qubit_list, outcome)
         return outcome
 
@@ -531,7 +378,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
         backends, where the prep correction is an ordinary gate application.
         """
         batch = self._require_batch()
-        (qubit,) = self._validated_qubits([qubit])
+        (qubit,) = _validated_qubits([qubit], self._num_qubits)
         value = int(value)
         view = (np.abs(batch) ** 2).reshape(
             self._batch_size, -1, 2, 1 << qubit
@@ -559,12 +406,7 @@ class TrajectoryNoiseBackend(SimulationBackend):
     def _project_member(
         self, member: int, qubits: Sequence[int], outcome: int
     ) -> None:
-        dim = 1 << self._num_qubits
-        indices = np.arange(dim)
-        keep = np.ones(dim, dtype=bool)
-        for position, qubit in enumerate(qubits):
-            bit = (outcome >> position) & 1
-            keep &= ((indices >> qubit) & 1) == bit
+        keep = outcome_mask(self._num_qubits, qubits, outcome)
         projected = np.where(keep, self._batch[member], 0.0)
         norm = np.linalg.norm(projected)
         if norm < 1e-15:
@@ -598,29 +440,6 @@ class TrajectoryNoiseBackend(SimulationBackend):
         if self._batch is None:
             raise RuntimeError("backend not initialised; call initialize() first")
         return self._batch
-
-    def _validated_qubits(self, qubits: Sequence[int]) -> list[int]:
-        if isinstance(qubits, (int, np.integer)):
-            qubits = [int(qubits)]
-        qubit_list = [int(q) for q in qubits]
-        if len(set(qubit_list)) != len(qubit_list):
-            raise ValueError(f"duplicate qubits in {qubit_list}")
-        for q in qubit_list:
-            if not 0 <= q < self._num_qubits:
-                raise ValueError(
-                    f"qubit index {q} out of range for {self._num_qubits} qubits"
-                )
-        return qubit_list
-
-    @staticmethod
-    def _validated_matrix(matrix: np.ndarray, num_targets: int) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (1 << num_targets, 1 << num_targets):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{num_targets} qubit(s)"
-            )
-        return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

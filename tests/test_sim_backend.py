@@ -1,5 +1,7 @@
 """Tests for the pluggable simulation-backend layer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from repro.sim import (
     Statevector,
     StatevectorBackend,
     gates,
+    list_backends,
     make_backend,
     register_backend,
     unregister_backend,
 )
-from repro.sim.kernels import apply_controlled_inplace, apply_matrix_inplace
+from repro.sim.kernels import apply_controlled_batched, apply_matrix_batched
 
 
 class TestRegistry:
@@ -171,48 +174,121 @@ class TestStatevectorBackend:
 
 
 class TestKernels:
-    """The masked controlled kernel must match the dense controlled unitary."""
+    """The batched kernels on a batch of one: a single state and a density matrix.
 
+    Base matrices are monomial (one entry of 1, i, -1 or -i per column), so
+    every product is exact and the masked and dense paths must agree bit for
+    bit while still checking where each amplitude lands.
+    """
+
+    @pytest.mark.parametrize("layout", ["state", "density"])
     @pytest.mark.parametrize("num_controls", [1, 2, 3])
     @pytest.mark.parametrize("num_targets", [1, 2])
-    def test_controlled_matches_dense(self, num_controls, num_targets, rng):
+    def test_controlled_matches_dense(self, num_controls, num_targets, layout, rng):
         num_qubits = num_controls + num_targets + 1
-        dim = 1 << num_qubits
-        amplitudes = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        amplitudes /= np.linalg.norm(amplitudes)
-        base = np.linalg.qr(
-            rng.normal(size=(1 << num_targets, 1 << num_targets))
-            + 1j * rng.normal(size=(1 << num_targets, 1 << num_targets))
-        )[0]
         order = rng.permutation(num_qubits)
         controls = [int(q) for q in order[:num_controls]]
         targets = [int(q) for q in order[num_controls : num_controls + num_targets]]
+        dim = 1 << num_targets
+        base = np.zeros((dim, dim), dtype=complex)
+        phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, dim)]
+        base[rng.permutation(dim), np.arange(dim)] = phases
+        full = gates.controlled(base, num_controls=num_controls)
+        # A density matrix is a (1, 4**n) view of a 2n-qubit state: the gate
+        # acts on the row (ket) bits n..2n-1 and, conjugated, on the column
+        # (bra) bits 0..n-1.
+        if layout == "state":
+            width, sides = num_qubits, [(0, base, full)]
+        else:
+            width = 2 * num_qubits
+            sides = [(num_qubits, base, full), (0, base.conj(), full.conj())]
+        amplitudes = rng.normal(size=(1, 1 << width)) + 1j * rng.normal(
+            size=(1, 1 << width)
+        )
 
         masked = amplitudes.copy()
-        apply_controlled_inplace(masked, num_qubits, base, controls, targets)
-
         dense = amplitudes.copy()
-        full = gates.controlled(base, num_controls=num_controls)
-        apply_matrix_inplace(dense, num_qubits, full, controls + targets)
+        for shift, matrix, full_matrix in sides:
+            shifted_controls = [q + shift for q in controls]
+            shifted_targets = [q + shift for q in targets]
+            apply_controlled_batched(
+                masked, width, matrix, shifted_controls, shifted_targets
+            )
+            apply_matrix_batched(
+                dense, width, full_matrix, shifted_controls + shifted_targets
+            )
 
-        assert np.allclose(masked, dense, atol=1e-12)
+        assert np.array_equal(masked, dense)
+        assert not np.array_equal(masked, amplitudes)
 
     def test_untouched_amplitudes_are_bit_identical(self, rng):
         """The masked kernel must not even renormalise the identity subspace."""
-        amplitudes = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amplitudes = rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))
         original = amplitudes.copy()
-        apply_controlled_inplace(amplitudes, 3, gates.X, [0], [1])
+        apply_controlled_batched(amplitudes, 3, gates.X, [0], [1])
         untouched = [i for i in range(8) if (i & 1) == 0]
-        assert all(amplitudes[i] == original[i] for i in untouched)
+        assert np.array_equal(amplitudes[0, untouched], original[0, untouched])
 
     def test_single_qubit_fast_path(self, rng):
         amplitudes = rng.normal(size=16) + 1j * rng.normal(size=16)
+        indices = np.arange(16)
         for qubit in range(4):
-            fast = amplitudes.copy()
-            apply_matrix_inplace(fast, 4, gates.H, [qubit])
-            reference = Statevector(4, amplitudes.copy())
-            reference.apply_matrix(gates.H, [qubit])
-            assert np.allclose(fast, reference.data, atol=1e-12)
+            single = amplitudes.copy().reshape(1, -1)
+            apply_matrix_batched(single, 4, gates.H, [qubit])
+            low = indices[((indices >> qubit) & 1) == 0]
+            high = low | (1 << qubit)
+            reference = amplitudes.copy()
+            reference[low] = (
+                gates.H[0, 0] * amplitudes[low] + gates.H[0, 1] * amplitudes[high]
+            )
+            reference[high] = (
+                gates.H[1, 0] * amplitudes[low] + gates.H[1, 1] * amplitudes[high]
+            )
+            assert np.array_equal(single[0], reference)
+            # A single state is a batch of one: every batch member gets the
+            # same amplitudes.
+            batch = np.tile(amplitudes, (3, 1))
+            apply_matrix_batched(batch, 4, gates.H, [qubit])
+            assert all(np.array_equal(row, single[0]) for row in batch)
+
+
+class TestSharedQubitValidator:
+    """Every registered backend runs the one qubit validator."""
+
+    @pytest.mark.parametrize("name", list_backends())
+    def test_integer_spellings_accepted(self, name):
+        backend = make_backend(name).initialize(3)
+        backend.apply_matrix(gates.X, 0)
+        backend.apply_matrix(gates.X, np.int64(1))
+        backend.apply_controlled(gates.X, np.int64(1), [np.int32(2)])
+        assert backend.probabilities([0, 1, 2])[0b111] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", list_backends())
+    @pytest.mark.parametrize(
+        "index", [1.7, True, np.True_, "1", np.float64(1.0)], ids=repr
+    )
+    def test_non_integer_index_rejected(self, name, index):
+        backend = make_backend(name).initialize(3)
+        named = re.escape(repr(index))
+        with pytest.raises(TypeError, match=named):
+            backend.apply_matrix(gates.X, index)
+        with pytest.raises(TypeError, match=named):
+            backend.apply_matrix(gates.CNOT, [0, index])
+        with pytest.raises(TypeError, match=named):
+            backend.apply_controlled(gates.X, [index], [0])
+        with pytest.raises(TypeError, match=named):
+            backend.probabilities([index])
+        assert backend.probabilities([0, 1, 2])[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", list_backends())
+    def test_overlap_duplicates_and_range_rejected(self, name):
+        backend = make_backend(name).initialize(3)
+        with pytest.raises(ValueError, match="overlap"):
+            backend.apply_controlled(gates.X, [0], [0])
+        with pytest.raises(ValueError, match="duplicate"):
+            backend.apply_matrix(gates.CNOT, [1, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            backend.apply_matrix(gates.X, 3)
 
 
 class TestProgramBackendRouting:
