@@ -54,8 +54,7 @@ from ..lang.instructions import (
     ProductAssertInstruction,
     SuperpositionAssertInstruction,
 )
-from ..lang.clifford import is_clifford_instruction
-from ..lang.program import Program, run_instructions
+from ..lang.program import Program, apply_lowered
 from ..observables.grouping import MeasurementSetting, group_terms
 from ..sim import gates as _gates
 from ..sim.backend import SimulationBackend
@@ -217,6 +216,7 @@ class BreakpointExecutor:
             if cached is not None:
                 return self._sample_from_snapshots(plan, cached)
         program = plan.program
+        lowered = plan.lowered
 
         def walk(engine, native):
             if self._routing_note:
@@ -228,7 +228,7 @@ class BreakpointExecutor:
             )
             results: list[BreakpointMeasurements] = []
             for segment in plan.segments:
-                run_instructions(program, segment.instructions, engine, rng=self.rng)
+                apply_lowered(lowered[segment.index], engine, rng=self.rng)
                 if segment.index in skip_indices:
                     continue
                 if isinstance(segment.assertion, AssertObservableInstruction):
@@ -334,34 +334,33 @@ class BreakpointExecutor:
     ) -> "BreakpointMeasurements | ObservableMeasurements":
         """Collect the measurement ensemble for breakpoint ``index`` in isolation.
 
-        This is the paper's literal scheme: the breakpoint's whole prefix is
-        materialised (:meth:`ExecutionPlan.prefix_program`) and re-simulated
-        from ``|0...0>``.  :meth:`run_plan` is the cheaper equivalent when
+        This is the paper's literal scheme: the breakpoint's whole prefix
+        (the lowered segments up to ``index``) is re-simulated from
+        ``|0...0>``.  :meth:`run_plan` is the cheaper equivalent when
         checking every breakpoint of a program.
         """
         segment = plan.segments[index]
         assertion = segment.assertion
-        program = plan.prefix_program(index)
+        program = plan.program
+        ops = [op for segment_ops in plan.lowered[: index + 1] for op in segment_ops]
+        # "auto" runs the prefix on the tableau only when all of it is Clifford.
+        prefix_clifford = all(s.is_clifford for s in plan.segments[: index + 1])
+        clifford = prefix_clifford if self.backend == "auto" else None
         if isinstance(assertion, AssertObservableInstruction):
             # Observable breakpoints always simulate the (measurement-free)
             # prefix once and draw their per-setting ensembles from the
             # breakpoint state — statistically identical to per-shot reruns.
             def walk(engine, native):
-                run_instructions(program, program.instructions, engine, rng=self.rng)
+                apply_lowered(ops, engine, rng=self.rng)
                 return self._measure_observable(
                     segment, program, engine, native_readout=native
                 )
 
-            return self._walk_fresh_engine(
-                program.num_qubits, self._all_clifford(program), walk
-            )[0]
+            return self._walk_fresh_engine(program.num_qubits, clifford, walk)[0]
         qubits = assertion.qubits()
         indices = [program.qubit_index(q) for q in qubits]
-
-        if self.mode == "sample":
-            samples, native, weights = self._sample_mode(program, indices)
-        else:
-            samples, native, weights = self._rerun_mode(program, indices)
+        mode = self._sample_mode if self.mode == "sample" else self._rerun_mode
+        samples, native, weights = mode(program.num_qubits, ops, clifford, indices)
 
         return self._package(
             segment, indices, samples, native_readout=native, weights=weights
@@ -656,19 +655,17 @@ class BreakpointExecutor:
         return result, gates, dense
 
     def _sample_mode(
-        self, program: Program, indices: list[int]
+        self, num_qubits: int, ops, clifford: bool | None, indices: list[int]
     ) -> tuple[Sequence[int], bool, "list[float] | None"]:
         def walk(engine, native):
-            run_instructions(program, program.instructions, engine, rng=self.rng)
+            apply_lowered(ops, engine, rng=self.rng)
             samples = engine.sample(indices, shots=self.ensemble_size, rng=self.rng)
             return samples, native, self._member_weights(engine, len(samples))
 
-        return self._walk_fresh_engine(
-            program.num_qubits, self._all_clifford(program), walk
-        )[0]
+        return self._walk_fresh_engine(num_qubits, clifford, walk)[0]
 
     def _rerun_mode(
-        self, program: Program, indices: list[int]
+        self, num_qubits: int, ops, clifford: bool | None, indices: list[int]
     ) -> tuple[list[int], bool, "list[float] | None"]:
         # Rerun mode never installs the readout model natively: ensembles
         # come from per-member collapsing measurements, and backends keep
@@ -676,28 +673,21 @@ class BreakpointExecutor:
         # so _package applies the classical corruption — exactly the
         # statevector semantics.
         def walk(engine, native):
-            run_instructions(program, program.instructions, engine, rng=self.rng)
+            apply_lowered(ops, engine, rng=self.rng)
             sample = int(engine.measure(indices, rng=self.rng))
             return sample, self._member_weights(engine, 1)
 
         samples = []
         weights: list[float] = []
         weighted = False
-        clifford = self._all_clifford(program)
         for _ in range(self.ensemble_size):
             (sample, member), _, _ = self._walk_fresh_engine(
-                program.num_qubits, clifford, walk, native_readout=False
+                num_qubits, clifford, walk, native_readout=False
             )
             samples.append(sample)
             weighted = weighted or member is not None
             weights.append(1.0 if member is None else member[0])
         return samples, False, weights if weighted else None
-
-    def _all_clifford(self, program: Program) -> bool | None:
-        """Plan-free Clifford verdict for ``"auto"`` routing (None = skip)."""
-        if self.backend != "auto":
-            return None
-        return all(is_clifford_instruction(i) for i in program.instructions)
 
     # ------------------------------------------------------------------
 

@@ -20,6 +20,7 @@ paper's per-version program for one breakpoint is materialised on demand by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..lang.clifford import clifford_prefix_length
 from ..lang.instructions import (
@@ -31,7 +32,7 @@ from ..lang.instructions import (
     MeasureInstruction,
     PrepInstruction,
 )
-from ..lang.program import Program
+from ..lang.program import Program, lower_instructions
 from ..lang.registers import Qubit
 
 __all__ = [
@@ -104,6 +105,16 @@ class ExecutionPlan:
     #: Clifford plan routed to the tableau because the width exceeds the
     #: host's dense budget); ``None`` until a routing decision is made.
     routing_note: str | None = None
+
+    @cached_property
+    def lowered(self) -> "tuple[tuple, ...]":
+        """Per segment, its :func:`~repro.lang.program.lower_instructions`
+        operations: built from :attr:`program` on the first walk and kept,
+        so later walks of a cached plan skip qubit numbering and matrices."""
+        return tuple(
+            lower_instructions(self.program, segment.instructions)
+            for segment in self.segments
+        )
 
     @property
     def num_breakpoints(self) -> int:

@@ -41,7 +41,57 @@ from .instructions import (
 )
 from .registers import ClassicalRegister, QuantumRegister, Qubit, flatten_qubits
 
-__all__ = ["Program", "run_instructions"]
+__all__ = ["Program", "apply_lowered", "lower_instructions", "run_instructions"]
+
+
+def lower_instructions(
+    program: "Program", instructions: Iterable[Instruction]
+) -> tuple:
+    """Lower IR ``instructions`` of ``program`` to a tuple of backend operations.
+
+    This is the single lowering point from the lang IR to the simulation
+    layer: a gate becomes ``(controls, targets, base_matrix)`` over flat
+    qubit indices, a ``PrepZ`` becomes ``(None, qubit, value)``, and
+    assertions, barriers, block markers and measurements — handled by the
+    compiler/executor — lower to nothing.
+    """
+    index = program.qubit_index
+    ops = []
+    for instruction in instructions:
+        if isinstance(instruction, GateInstruction):
+            controls = tuple(map(index, instruction.controls))
+            targets = tuple(map(index, instruction.targets))
+            ops.append((controls, targets, instruction.base_matrix()))
+        elif isinstance(instruction, PrepInstruction):
+            ops.append((None, index(instruction.qubit), instruction.value))
+        elif not isinstance(
+            instruction,
+            (
+                AssertionInstruction,
+                BarrierInstruction,
+                BlockMarkerInstruction,
+                MeasureInstruction,
+            ),
+        ):  # pragma: no cover - defensive
+            raise TypeError(f"unknown instruction type: {type(instruction)!r}")
+    return tuple(ops)
+
+
+def apply_lowered(
+    ops: Iterable[tuple],
+    backend: SimulationBackend,
+    rng: np.random.Generator | int | None = None,
+) -> SimulationBackend:
+    """Apply :func:`lower_instructions` operations through the backend's
+    public ``apply_matrix`` / ``apply_controlled`` / ``prep_qubit``."""
+    for controls, targets, payload in ops:
+        if controls is None:
+            backend.prep_qubit(targets, payload, rng=rng)
+        elif controls:
+            backend.apply_controlled(payload, controls, targets)
+        else:
+            backend.apply_matrix(payload, targets)
+    return backend
 
 
 def run_instructions(
@@ -50,40 +100,8 @@ def run_instructions(
     backend: SimulationBackend,
     rng: np.random.Generator | int | None = None,
 ) -> SimulationBackend:
-    """Interpret a stream of IR ``instructions`` onto an initialised ``backend``.
-
-    This is the single lowering point from the lang IR to the simulation
-    layer: :meth:`Program.simulate` feeds it the whole instruction list, the
-    incremental executor feeds it one plan segment at a time.  ``program``
-    supplies the qubit numbering (the instructions must belong to it).
-    Assertions, barriers, block markers and measurements are no-ops here —
-    they are handled by the compiler/executor.
-    """
-    for instruction in instructions:
-        if isinstance(instruction, GateInstruction):
-            targets = [program.qubit_index(q) for q in instruction.targets]
-            if instruction.controls:
-                controls = [program.qubit_index(q) for q in instruction.controls]
-                backend.apply_controlled(instruction.base_matrix(), controls, targets)
-            else:
-                backend.apply_matrix(instruction.base_matrix(), targets)
-        elif isinstance(instruction, PrepInstruction):
-            backend.prep_qubit(
-                program.qubit_index(instruction.qubit), instruction.value, rng=rng
-            )
-        elif isinstance(
-            instruction,
-            (
-                AssertionInstruction,
-                BarrierInstruction,
-                BlockMarkerInstruction,
-                MeasureInstruction,
-            ),
-        ):
-            continue
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown instruction type: {type(instruction)!r}")
-    return backend
+    """Lower ``instructions`` of ``program`` and apply them to ``backend``."""
+    return apply_lowered(lower_instructions(program, instructions), backend, rng)
 
 
 class Program:

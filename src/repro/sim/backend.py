@@ -291,9 +291,9 @@ class SimulationBackend(abc.ABC):
 class StatevectorBackend(SimulationBackend):
     """Dense statevector backend built on the kernels in :mod:`repro.sim.kernels`.
 
-    Controlled gates go through the index-masked kernel (the base matrix is
-    applied only on the control-satisfied subspace; the dense controlled
-    unitary is never built) and 1-/2-qubit gates take vectorised fast paths.
+    Controlled gates apply their base matrix only on the control-satisfied
+    subspace (the dense controlled unitary is never built), and diagonal and
+    permutation gates cost only slice multiplies and copies.
     """
 
     name = "statevector"

@@ -158,19 +158,7 @@ class DensityMatrixBackend(SimulationBackend):
     def apply_matrix(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "DensityMatrixBackend":
-        self._require_state()
-        qubit_list = _validated_qubits(qubits, self._num_qubits)
-        if self._pure is not None:
-            self._pure.apply_matrix(matrix, qubit_list)
-        else:
-            matrix = _validated_matrix(matrix, len(qubit_list))
-            flat = self._rho.reshape(1, -1)
-            n = self._num_qubits
-            apply_matrix_batched(flat, 2 * n, matrix, [q + n for q in qubit_list])
-            apply_matrix_batched(flat, 2 * n, matrix.conj(), qubit_list)
-        self.gates_applied += 1
-        self._apply_gate_noise(qubit_list)
-        return self
+        return self.apply_controlled(matrix, (), qubits)
 
     def apply_controlled(
         self,

@@ -1,17 +1,15 @@
 """Vectorised gate-application kernels shared by the simulation backends.
 
-The seed implementation applied a controlled gate by materialising the dense
-``2 ** (controls + targets)``-dimensional controlled unitary and pushing it
-through the generic tensor-contraction path.  The kernels below instead touch
-only the amplitudes that the gate can change:
-
-* a controlled gate acts as the *base* matrix on the control-satisfied
-  subspace (all control bits 1) and as the identity everywhere else, so the
-  kernel gathers exactly the ``2 ** targets``-sized amplitude groups of that
-  subspace, multiplies them by the base matrix, and scatters them back;
-* 1-qubit gates use a strided-view fast path with no index arrays at all;
-* small multi-qubit gates use the same gather/scatter machinery with an
-  all-indices base set.
+Every dense gate goes through one kernel on strided views that touches
+only the amplitudes the gate can change.  The state is viewed with one
+axis of length 2 per qubit; a controlled gate acts as its *base* matrix
+where every control is 1, so basic indexing pins the control axes to 1 (a
+view, no index array) and the rest of the state is never read.  Pinning
+the target axes too gives one slice view per target value, and the base
+matrix's structure picks the update: diagonal gates multiply the slices
+whose entry is not exactly 1, permutation gates move slices with a phase
+multiply, general single-target gates run two vectorised 2x2 updates, and
+anything else is one contraction over the target axes.
 
 There is one batched kernel per gate operation, and a single state is a
 batch of one: the gate kernels take a C-contiguous ``(B, 2**n)`` stack of
@@ -44,11 +42,6 @@ __all__ = [
     "ints_to_bits",
     "bits_to_ints",
 ]
-
-#: Above this many target qubits the gather loop (2**k python iterations)
-#: stops paying for itself and the tensor-contraction path wins.
-_GATHER_MAX_TARGETS = 8
-
 
 # ---------------------------------------------------------------------------
 # Bit-packing kernels (shared by the packed tableau and Pauli frames)
@@ -121,85 +114,6 @@ def bits_to_ints(bits: np.ndarray) -> "list[int]":
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _subspace_indices(
-    num_qubits: int,
-    zero_bits: Sequence[int],
-    one_bits: Sequence[int] = (),
-) -> np.ndarray:
-    """Indices of basis states with the given bits pinned to 0 / 1.
-
-    Built directly by spreading an ``arange`` over the free bit positions —
-    O(2^(n - pinned)) work — rather than boolean-masking the full
-    ``2^n``-sized index range, so a gate with many controls costs work
-    proportional to the subspace it touches.
-    """
-    pinned = sorted([*zero_bits, *one_bits])
-    base = np.arange(1 << (num_qubits - len(pinned)))
-    # Insert a 0 bit at each pinned position, lowest first so later
-    # insertions see already-spread lower bits.
-    for qubit in pinned:
-        low = base & ((1 << qubit) - 1)
-        base = ((base >> qubit) << (qubit + 1)) | low
-    for qubit in one_bits:
-        base |= 1 << qubit
-    return base
-
-
-def _gather_apply(
-    data: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    base: np.ndarray,
-) -> None:
-    """Apply ``matrix`` on ``targets`` over every amplitude group in ``base``.
-
-    ``base`` lists the basis indices with all target bits 0 (one per group);
-    group member ``v`` lives at ``base + offset(v)`` where ``offset`` places
-    bit ``j`` of ``v`` at qubit ``targets[j]``.
-    """
-    k = len(targets)
-    offsets = [
-        sum(((value >> j) & 1) << targets[j] for j in range(k))
-        for value in range(1 << k)
-    ]
-    columns = np.empty((1 << k, base.shape[0]), dtype=data.dtype)
-    for value, offset in enumerate(offsets):
-        columns[value] = data[base + offset]
-    columns = matrix @ columns
-    for value, offset in enumerate(offsets):
-        data[base + offset] = columns[value]
-
-
-def _apply_1q_inplace(data: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
-    """Strided-view fast path for single-qubit gates (no index arrays)."""
-    view = data.reshape(-1, 2, 1 << qubit)
-    lower = view[:, 0, :].copy()
-    upper = view[:, 1, :]
-    view[:, 0, :] = matrix[0, 0] * lower + matrix[0, 1] * upper
-    view[:, 1, :] = matrix[1, 0] * lower + matrix[1, 1] * upper
-
-
-def _apply_dense_inplace(
-    data: np.ndarray,
-    num_qubits: int,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-) -> None:
-    """Generic tensor-contraction path (used for wide operand lists)."""
-    k = len(qubits)
-    tensor = data.reshape([2] * num_qubits)
-    # Axis of qubit q is num_qubits - 1 - q; moving the operand axes (most
-    # significant first) to the front makes the front index little-endian.
-    source_axes = [num_qubits - 1 - q for q in reversed(qubits)]
-    tensor = np.moveaxis(tensor, source_axes, range(k))
-    shape_rest = tensor.shape[k:]
-    tensor = tensor.reshape(1 << k, -1)
-    tensor = matrix @ tensor
-    tensor = tensor.reshape([2] * k + list(shape_rest))
-    tensor = np.moveaxis(tensor, range(k), source_axes)
-    data[:] = tensor.reshape(-1)
-
-
 def marginal_probabilities(
     probabilities: np.ndarray,
     num_qubits: int,
@@ -241,19 +155,122 @@ def outcome_mask(num_qubits: int, qubits: Sequence[int], value: int) -> np.ndarr
     return mask
 
 
-def _batched_base(batch_size: int, num_qubits: int, base: np.ndarray) -> np.ndarray:
-    """Tile per-state amplitude-group indices across a stacked batch.
+def _monomial_structure(
+    matrix: np.ndarray,
+) -> "tuple[tuple[int, ...], tuple[complex, ...]] | None":
+    """``(rows, factors)`` when ``matrix`` has one nonzero per row and column.
 
-    A ``(B, 2**n)`` batch flattened to ``B * 2**n`` entries places member
-    ``m`` at offset ``m << n``; gate operands only address the low ``n``
-    bits, so OR-ing the member offsets onto the single-state base indices
-    makes every single-state gather kernel batch-aware for free.  A batch
-    of one (a single state) uses ``base`` as it is.
+    Column ``w`` maps to row ``rows[w]`` scaled by ``factors[w]``: diagonal
+    gates (P/S/T/Z/RZ) have ``rows[w] == w``, permutations (X/Y/SWAP) move
+    slices.  2x2 matrices take an O(1) scalar test, exact for any entries
+    (a zero factor, as in ``[[0, s], [0, 0]]``, is a scaled copy of zero).
     """
-    if batch_size == 1:
-        return base
-    offsets = np.arange(batch_size, dtype=base.dtype) << num_qubits
-    return (offsets[:, None] | base[None, :]).reshape(-1)
+    if matrix.shape[0] == 2:
+        m00, m01, m10, m11 = matrix.ravel().tolist()
+        if m01 == 0 and m10 == 0:
+            return (0, 1), (m00, m11)
+        if m00 == 0 and m11 == 0:
+            return (1, 0), (m10, m01)
+        return None
+    nonzero = matrix != 0
+    if (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
+        return None
+    rows = nonzero.argmax(axis=0)
+    factors = matrix[rows, np.arange(rows.size)]
+    return tuple(rows.tolist()), tuple(factors.tolist())
+
+
+def _scaled_copy(destination: np.ndarray, source: np.ndarray, factor: complex) -> None:
+    if factor == 1:
+        destination[...] = source
+    else:
+        np.multiply(source, factor, out=destination)
+
+
+def _apply_monomial(parts: list, rows: tuple, factors: tuple) -> None:
+    """``new[rows[w]] = factors[w] * old[w]`` over disjoint slice views.
+
+    Fixed points multiply in place (and are skipped when the factor is
+    exactly 1); each permutation cycle saves one slice and shifts the rest.
+    """
+    source_of = {row: column for column, row in enumerate(rows)}
+    done = [False] * len(rows)
+    for start, row in enumerate(rows):
+        if done[start]:
+            continue
+        done[start] = True
+        if row == start:
+            if factors[start] != 1:
+                parts[start] *= factors[start]
+            continue
+        saved = parts[start].copy()
+        target = start
+        while source_of[target] != start:
+            source = source_of[target]
+            _scaled_copy(parts[target], parts[source], factors[source])
+            done[source] = True
+            target = source
+        _scaled_copy(parts[target], saved, factors[start])
+
+
+def _apply_2x2(lower: np.ndarray, upper: np.ndarray, matrix: np.ndarray) -> None:
+    """A general single-target gate on its two slice views."""
+    m00, m01, m10, m11 = matrix.ravel().tolist()
+    new_lower = m00 * lower
+    new_lower += m01 * upper
+    new_upper = m10 * lower
+    new_upper += m11 * upper
+    lower[...] = new_lower
+    upper[...] = new_upper
+
+
+def _contract(
+    view: np.ndarray, index: list, matrix: np.ndarray, axes: "list[int]"
+) -> None:
+    """A general gate as one contraction over the target ``axes`` (least
+    significant operand first) of ``view[index]``: moved to the back, most
+    significant first, each row of the reshaped copy is one amplitude group
+    in the little-endian order of ``matrix``."""
+    k = len(axes)
+    moved = np.moveaxis(view[tuple(index)], axes[::-1], range(-k, 0))
+    groups = moved.reshape(-1, 1 << k)
+    moved[...] = (groups @ matrix.T).reshape(moved.shape)
+
+
+def _apply_batched(
+    batch: np.ndarray,
+    num_qubits: int,
+    matrix: np.ndarray,
+    controls: Sequence[int],
+    targets: Sequence[int],
+) -> np.ndarray:
+    """The one dense gate kernel: ``matrix`` on ``targets`` where all controls are 1.
+
+    ``batch`` is viewed as ``(B,) + (2,) * n`` (qubit ``q`` is axis
+    ``n - q``); basic indexing pins the control axes to 1 and the target
+    axes to each value, giving views with no index array.  Monomial
+    matrices cost only slice multiplies and copies, general single-target
+    gates two vectorised 2x2 updates, and anything else one contraction.
+    """
+    view = batch.reshape((batch.shape[0],) + (2,) * num_qubits)
+    index: list = [slice(None)] * (num_qubits + 1)
+    for control in controls:
+        index[num_qubits - control] = slice(1, 2)
+    axes = [num_qubits - target for target in targets]
+    structure = _monomial_structure(matrix)
+    if structure is None and len(axes) != 1:
+        _contract(view, index, matrix, axes)
+        return batch
+    parts = []
+    for value in range(1 << len(axes)):
+        for bit, axis in enumerate(axes):
+            index[axis] = (value >> bit) & 1
+        parts.append(view[tuple(index)])
+    if structure is None:
+        _apply_2x2(parts[0], parts[1], matrix)
+    else:
+        _apply_monomial(parts, *structure)
+    return batch
 
 
 def apply_matrix_batched(
@@ -270,21 +287,7 @@ def apply_matrix_batched(
     states run as ``B = 1``.  ``batch`` must be C-contiguous; it is mutated
     in place and returned.
     """
-    k = len(qubits)
-    flat = batch.reshape(-1)
-    if k == 1:
-        # The strided 1q view decomposes B * 2**n cleanly because 2**(q+1)
-        # divides each member's 2**n block.
-        _apply_1q_inplace(flat, matrix, qubits[0])
-    elif k <= _GATHER_MAX_TARGETS:
-        base = _subspace_indices(num_qubits, zero_bits=qubits)
-        _gather_apply(
-            flat, matrix, qubits, _batched_base(batch.shape[0], num_qubits, base)
-        )
-    else:
-        for member in batch:
-            _apply_dense_inplace(member, num_qubits, matrix, qubits)
-    return batch
+    return _apply_batched(batch, num_qubits, matrix, (), qubits)
 
 
 def apply_controlled_batched(
@@ -296,27 +299,11 @@ def apply_controlled_batched(
 ) -> np.ndarray:
     """Apply ``matrix`` on ``targets`` where every control bit is 1, per member.
 
-    This is the index-masked kernel: the dense controlled unitary is never
-    materialised, and amplitudes outside the control-satisfied subspace are
-    never touched (they are the identity part of the controlled gate).
+    The dense controlled unitary is never materialised: the control axes
+    are pinned to 1, so amplitudes outside the control-satisfied subspace
+    (the identity part of the controlled gate) are never read or written.
     """
-    if not controls:
-        return apply_matrix_batched(batch, num_qubits, matrix, targets)
-    if len(targets) > _GATHER_MAX_TARGETS:  # pragma: no cover - unused width
-        from . import gates as _gates
-
-        full = _gates.controlled(matrix, num_controls=len(controls))
-        return apply_matrix_batched(
-            batch, num_qubits, full, list(controls) + list(targets)
-        )
-    base = _subspace_indices(num_qubits, zero_bits=targets, one_bits=controls)
-    _gather_apply(
-        batch.reshape(-1),
-        matrix,
-        targets,
-        _batched_base(batch.shape[0], num_qubits, base),
-    )
-    return batch
+    return _apply_batched(batch, num_qubits, matrix, controls, targets)
 
 
 def apply_pauli_batched(

@@ -121,16 +121,6 @@ class PauliMixture:
             for x, z in zip(self.x_masks, self.z_masks)
         )
 
-    def single_qubit_indices(self) -> np.ndarray:
-        """Component Pauli indices (0=I, 1=X, 2=Y, 3=Z); 1-qubit mixtures only."""
-        if self.num_qubits != 1:
-            raise ValueError("single-qubit index table needs a 1-qubit mixture")
-        table = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-        return np.array(
-            [table[(x, z)] for x, z in zip(self.x_masks, self.z_masks)],
-            dtype=np.int64,
-        )
-
     def component_codes(self) -> np.ndarray:
         """Per-component single-qubit Pauli codes, shape ``(C, num_qubits)``.
 
@@ -265,17 +255,31 @@ class StreamPool:
     def __len__(self) -> int:
         return len(self.streams)
 
-    def draw(self, members: np.ndarray | None = None) -> np.ndarray:
-        """One uniform per (selected) member, each from its own stream."""
+    def draw(
+        self, members: np.ndarray | None = None, count: int | None = None
+    ) -> np.ndarray:
+        """One uniform per (selected) member, each from its own stream.
+
+        With a ``count``, ``(count, members)`` uniforms, row ``e`` for event
+        ``e``: each member's are consecutive in its own stream, exactly what
+        ``count`` single draws would return.
+        """
+        events = 1 if count is None else count
+        if events > self._BLOCK:
+            head = self.draw(members, self._BLOCK)
+            return np.concatenate([head, self.draw(members, events - self._BLOCK)])
         if members is None:
             members = np.arange(len(self.streams))
-        exhausted = members[self._positions[members] >= self._BLOCK]
-        for member in exhausted:
-            self._buffer[member] = self.streams[member].random(self._BLOCK)
+        for member in members[self._positions[members] + events > self._BLOCK]:
+            position = self._positions[member]
+            kept = self._BLOCK - position
+            self._buffer[member, :kept] = self._buffer[member, position:]
+            self._buffer[member, kept:] = self.streams[member].random(position)
             self._positions[member] = 0
-        values = self._buffer[members, self._positions[members]]
-        self._positions[members] += 1
-        return values
+        columns = self._positions[members] + np.arange(events)[:, None]
+        values = self._buffer[members, columns]
+        self._positions[members] += events
+        return values[0] if count is None else values
 
 
 def as_member_streams(

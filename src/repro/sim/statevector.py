@@ -202,12 +202,7 @@ class Statevector:
         ``qubits[0]`` is the least significant index of the matrix, matching
         the layout of :mod:`repro.sim.gates`.
         """
-        qubit_list = _validated_qubits(qubits, self.num_qubits)
-        matrix = _validated_matrix(matrix, len(qubit_list))
-        _kernels.apply_matrix_batched(
-            self.data.reshape(1, -1), self.num_qubits, matrix, qubit_list
-        )
-        return self
+        return self.apply_controlled(matrix, (), qubits)
 
     def apply_controlled(
         self,
@@ -217,8 +212,8 @@ class Statevector:
     ) -> "Statevector":
         """Apply ``matrix`` on ``targets`` controlled by ``controls`` (all = 1).
 
-        The base matrix is applied only on the control-satisfied subspace
-        (index masking); the dense controlled unitary is never materialised.
+        The base matrix is applied only on the control-satisfied subspace;
+        the dense controlled unitary is never materialised.
         """
         control_list = _validated_qubits(controls, self.num_qubits)
         target_list = _validated_qubits(targets, self.num_qubits, control_list)

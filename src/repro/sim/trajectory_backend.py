@@ -75,8 +75,9 @@ def iter_noise_events(
     shared by the statevector batch and the tableau Pauli frames.  Channels
     fire by the touched-qubit contract of :func:`repro.sim.noise.noise_events`
     (the density backend places its Kraus channels by it too); each firing
-    consumes exactly one uniform per member from that member's own stream,
-    and a two-qubit channel yields one per-qubit event per tensor factor.
+    consumes exactly one uniform per member from that member's own stream —
+    all of a gate's firings come from one :meth:`StreamPool.draw` — and a
+    two-qubit channel yields one per-qubit event per tensor factor.
 
     ``members`` optionally restricts the event to a boolean mask (per-member
     prep corrections): only masked members draw and receive a Pauli, so a
@@ -94,8 +95,10 @@ def iter_noise_events(
         active = np.flatnonzero(members)
         if not active.size:
             return
-    for sampler, qubits in noise_events(samplers, touched):
-        positions = sampler.sample_positions(pool.draw(active))
+    events = list(noise_events(samplers, touched))
+    uniforms = pool.draw(active, len(events))
+    for (sampler, qubits), row in zip(events, uniforms):
+        positions = sampler.sample_positions(row)
         if weights is not None and sampler.ratios is not None:
             target = slice(None) if active is None else active
             weights[target] *= sampler.ratios[positions]

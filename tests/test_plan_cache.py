@@ -263,3 +263,109 @@ class TestSnapshotReuse:
         assert row["plan_cache_hits"] >= 2
         assert row["shared_prefix_gates_saved"] == 2
         assert row["plan_cache"]["misses"] == 1
+
+
+def two_breakpoint_program(clifford: bool) -> Program:
+    """Two breakpoints over three qubits; ``clifford=False`` adds a T gate."""
+    program = Program("two_breakpoints" + ("" if clifford else "_t"))
+    q = program.qreg("q", 3)
+    program.h(q[0])
+    program.cnot(q[0], q[2])
+    program.assert_entangled([q[0]], [q[2]], label="pair")
+    if not clifford:
+        program.t(q[0])
+    program.h(q[1])
+    program.cz(q[1], q[2])
+    program.assert_superposition([q[1]], label="sup")
+    return program
+
+
+class TestPlanLowering:
+    """A plan's segments are lowered to backend operations once, on first walk."""
+
+    @staticmethod
+    def _count_lowering(monkeypatch) -> list:
+        from repro.compiler import splitter
+
+        calls = []
+        original = splitter.lower_instructions
+
+        def counting(program, instructions):
+            calls.append(program)
+            return original(program, instructions)
+
+        monkeypatch.setattr(splitter, "lower_instructions", counting)
+        return calls
+
+    @staticmethod
+    def _forbid_lowering(monkeypatch) -> None:
+        from repro.compiler.splitter import ExecutionPlan
+
+        def fail(plan):
+            raise AssertionError("plan lowered on a path that must not walk")
+
+        monkeypatch.setattr(ExecutionPlan, "lowered", property(fail))
+
+    def test_cached_plan_is_lowered_once_across_two_walks(self, monkeypatch):
+        from repro.sim import NoiseModel, depolarizing
+
+        calls = self._count_lowering(monkeypatch)
+        noise = NoiseModel.from_channels(depolarizing(0.01))
+        config = RunConfig(ensemble_size=4, seed=SEED, backend="trajectory", noise=noise)
+        program = two_breakpoint_program(clifford=False)
+        for _ in range(2):
+            executor = BreakpointExecutor(config)
+            plan = executor.plan_for(program)
+            executor.run_plan(plan)
+            assert executor.gates_applied >= plan.total_gates  # a real walk
+        assert len(calls) == plan.num_breakpoints  # one lowering per segment
+        assert executor.run(plan, 1).joint.num_samples == 4
+        assert len(calls) == plan.num_breakpoints
+
+    def test_snapshot_served_runs_never_lower(self, monkeypatch):
+        config = RunConfig(ensemble_size=8, seed=SEED)
+        program = two_breakpoint_program(clifford=False)
+        cold = check_program(program, config)
+        self._forbid_lowering(monkeypatch)
+        warm = check_program(program, config)
+        assert default_plan_cache().stats()["snapshot_hits"] == 1
+        assert warm.to_json() == cold.to_json()
+
+    def test_analysis_and_static_short_circuits_never_lower(self, monkeypatch):
+        self._forbid_lowering(monkeypatch)
+        program = two_breakpoint_program(clifford=True)
+        analysis = repro.Session(RunConfig(seed=SEED)).analyze(program)
+        assert analysis.all_decided
+        config = RunConfig(ensemble_size=8, seed=SEED, static_preflight=True)
+        report = check_program(program, config)
+        assert [record.method for record in report.records] == ["static", "static"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cold_and_warm_reports_identical(self, backend):
+        from repro.sim import NoiseModel, depolarizing
+
+        clifford = backend == "stabilizer"
+        noise = NoiseModel.from_channels(depolarizing(0.02))
+        for config in (
+            RunConfig(ensemble_size=8, seed=SEED, backend=backend),
+            RunConfig(ensemble_size=8, seed=SEED, backend=backend, noise=noise),
+        ):
+            default_plan_cache().clear()
+            program = two_breakpoint_program(clifford)
+            cold = repro.Session(config).check(program).to_json()
+            warm = repro.Session(config).check(program).to_json()
+            assert warm == cold
+
+    def test_equal_fingerprints_walk_the_cached_programs_gates(self):
+        from repro.sim.gates import gate_matrix
+
+        executor = BreakpointExecutor(RunConfig(ensemble_size=8, seed=SEED))
+        plan = executor.plan_for(spelled_program("s"))
+        assert executor.plan_for(spelled_program("rz")) is plan
+        single = [op[2] for op in plan.lowered[0] if op[0] == ()]
+        # The plan's own program spells s / sdg, so its walk applies those
+        # matrices, not the rz ones of the later, fingerprint-equal program.
+        assert any(np.array_equal(m, gate_matrix("s")) for m in single)
+        assert any(np.array_equal(m, gate_matrix("sdg")) for m in single)
+        rz = gate_matrix("rz", [np.pi / 2])
+        assert not any(np.array_equal(m, rz) for m in single)

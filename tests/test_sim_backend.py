@@ -173,12 +173,107 @@ class TestStatevectorBackend:
             Minimal().to_statevector()
 
 
-class TestKernels:
-    """The batched kernels on a batch of one: a single state and a density matrix.
+def _reference_unitary(num_qubits, matrix, controls, targets):
+    """The explicit ``2**n x 2**n`` unitary of a controlled gate.
 
-    Base matrices are monomial (one entry of 1, i, -1 or -i per column), so
-    every product is exact and the masked and dense paths must agree bit for
-    bit while still checking where each amplitude lands.
+    Built straight from the conventions (bit ``j`` of an index is qubit
+    ``j``, ``targets[0]`` is the least significant operand of ``matrix``)
+    so it shares no code with the kernels.
+    """
+    dim = 1 << num_qubits
+    indices = np.arange(dim)
+    active = np.ones(dim, dtype=bool)
+    for control in controls:
+        active &= ((indices >> control) & 1) == 1
+    value = np.zeros(dim, dtype=np.int64)
+    for bit, target in enumerate(targets):
+        value |= ((indices >> target) & 1) << bit
+    target_mask = sum(1 << target for target in targets)
+    full = np.zeros((dim, dim), dtype=complex)
+    full[indices[~active], indices[~active]] = 1.0
+    columns = indices[active]
+    for row_value in range(1 << len(targets)):
+        rows = columns & ~target_mask
+        for bit, target in enumerate(targets):
+            rows = rows | (((row_value >> bit) & 1) << target)
+        full[rows, columns] = matrix[row_value, value[active]]
+    return full
+
+
+def _structured_matrix(structure, num_targets, rng):
+    dim = 1 << num_targets
+    phases = np.exp(2j * np.pi * rng.random(dim))
+    if structure == "diagonal":
+        return np.diag(phases)
+    if structure == "plus_minus_one":
+        # Entries exactly +1 (skipped slices) and -1, on a permutation.
+        signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[rng.permutation(dim), np.arange(dim)] = signs
+        return matrix
+    if structure == "monomial":
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[rng.permutation(dim), np.arange(dim)] = phases
+        return matrix
+    if num_targets > 3:
+        # A dense entangling unitary without a slow wide QR: phases times a
+        # tensor product of random one-qubit unitaries.
+        factors = [_structured_matrix("general", 1, rng) for _ in range(num_targets)]
+        dense = factors[0]
+        for factor in factors[1:]:
+            dense = np.kron(factor, dense)
+        return phases[:, None] * dense
+    gaussian = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(gaussian)[0]
+
+
+def _operands(order, num_controls, num_targets, num_qubits, rng):
+    qubits = list(range(num_qubits))
+    if order == "reversed":
+        qubits = qubits[::-1]
+    elif order == "scattered":
+        qubits = [int(q) for q in rng.permutation(num_qubits)]
+    # Every other qubit first, so the leading operands are not adjacent.
+    chosen = (qubits[::2] + qubits[1::2])[: num_controls + num_targets]
+    return chosen[:num_controls], chosen[num_controls:]
+
+
+def _check_against_reference(layout, matrix, controls, targets, num_qubits, rng):
+    full = _reference_unitary(num_qubits, matrix, controls, targets)
+    dim = 1 << num_qubits
+    if layout == "density":
+        # A density matrix is a (1, 4**n) view of a 2n-qubit state: U on the
+        # row (ket) bits n..2n-1, conj(U) on the column (bra) bits 0..n-1.
+        vectors = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        rho = vectors @ vectors.conj().T
+        data = rho.reshape(1, -1).copy()
+        ket_controls = [q + num_qubits for q in controls]
+        ket_targets = [q + num_qubits for q in targets]
+        apply_controlled_batched(data, 2 * num_qubits, matrix, ket_controls, ket_targets)
+        apply_controlled_batched(data, 2 * num_qubits, matrix.conj(), controls, targets)
+        expected = (full @ rho @ full.conj().T).reshape(1, -1)
+    else:
+        members = 1 if layout == "state" else 3
+        states = rng.normal(size=(members, dim)) + 1j * rng.normal(size=(members, dim))
+        data = states.copy()
+        if controls:
+            apply_controlled_batched(data, num_qubits, matrix, controls, targets)
+        else:
+            apply_matrix_batched(data, num_qubits, matrix, targets)
+        expected = states @ full.T
+    assert np.max(np.abs(data - expected)) < 1e-12
+
+
+class TestKernels:
+    """The batched view kernel on single states, batches and density matrices.
+
+    The first tests use monomial base matrices (one entry of 1, i, -1 or -i
+    per column), so every product is exact and the controlled and dense
+    spellings must agree bit for bit.  The structure tests compare each
+    kernel path — diagonal, +-1, monomial with phases, general 1-3 and 9
+    targets — against an explicit dense unitary to 1e-12, with 0-3
+    controls, ascending / reversed / scattered operand orders, and on a
+    single state, a B=3 batch and the density matrix's 2n-qubit view.
     """
 
     @pytest.mark.parametrize("layout", ["state", "density"])
@@ -250,6 +345,54 @@ class TestKernels:
             batch = np.tile(amplitudes, (3, 1))
             apply_matrix_batched(batch, 4, gates.H, [qubit])
             assert all(np.array_equal(row, single[0]) for row in batch)
+
+    @pytest.mark.parametrize("layout", ["state", "batch", "density"])
+    @pytest.mark.parametrize("order", ["ascending", "reversed", "scattered"])
+    @pytest.mark.parametrize("num_controls", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "structure, num_targets",
+        [
+            ("diagonal", 1),
+            ("diagonal", 2),
+            ("plus_minus_one", 1),
+            ("plus_minus_one", 2),
+            ("monomial", 1),
+            ("monomial", 3),
+            ("general", 1),
+            ("general", 2),
+            ("general", 3),
+        ],
+    )
+    def test_matches_reference_unitary(
+        self, structure, num_targets, num_controls, order, layout, rng
+    ):
+        num_qubits = num_controls + num_targets + 2
+        controls, targets = _operands(order, num_controls, num_targets, num_qubits, rng)
+        matrix = _structured_matrix(structure, num_targets, rng)
+        _check_against_reference(layout, matrix, controls, targets, num_qubits, rng)
+
+    @pytest.mark.parametrize("layout", ["state", "batch"])
+    @pytest.mark.parametrize("num_controls", [0, 1])
+    @pytest.mark.parametrize("structure", ["monomial", "general"])
+    def test_nine_targets(self, structure, num_controls, layout, rng):
+        num_qubits = 10
+        controls, targets = _operands("scattered", num_controls, 9, num_qubits, rng)
+        matrix = _structured_matrix(structure, 9, rng)
+        _check_against_reference(layout, matrix, controls, targets, num_qubits, rng)
+
+    def test_entries_of_one_leave_slices_bit_identical(self, rng):
+        """Diagonal and permutation gates do no arithmetic on unit entries."""
+        amplitudes = rng.normal(size=(1, 16)) + 1j * rng.normal(size=(1, 16))
+        indices = np.arange(16)
+        before = amplitudes.copy()
+        apply_controlled_batched(amplitudes, 4, gates.gate_matrix("p", [0.3]), [2], [0])
+        phased = ((indices >> 2) & 1 == 1) & (indices & 1 == 1)
+        assert np.array_equal(amplitudes[0, ~phased], before[0, ~phased])
+        before = amplitudes.copy()
+        apply_controlled_batched(amplitudes, 4, gates.X, [1, 3], [2])
+        moved = ((indices >> 1) & 1 == 1) & ((indices >> 3) & 1 == 1)
+        assert np.array_equal(amplitudes[0, ~moved], before[0, ~moved])
+        assert np.array_equal(amplitudes[0, moved], before[0, indices[moved] ^ 4])
 
 
 class TestSharedQubitValidator:

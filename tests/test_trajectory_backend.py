@@ -782,6 +782,88 @@ class TestExecutorRouting:
         assert both[1] == reference[1].random()
 
 
+class TestPerGateNoiseDraws:
+    """All of a gate's noise events come from one ``StreamPool.draw``.
+
+    The reference below is the one-draw-per-event loop; both must give the
+    same Pauli records and bit-identical importance weights, also across the
+    pool's block refill and for prep-masked (``members=``) events.
+    """
+
+    MEMBERS = 5
+
+    def _per_event(self, samplers, touched, pool, batch_size, members, weights):
+        from repro.sim.noise import noise_events
+
+        active = None if members is None else np.flatnonzero(members)
+        if active is not None and not active.size:
+            return []
+        records = []
+        for sampler, qubits in noise_events(samplers, touched):
+            self.drawn[slice(None) if active is None else active] += 1
+            positions = sampler.sample_positions(pool.draw(active))
+            if weights is not None and sampler.ratios is not None:
+                target = slice(None) if active is None else active
+                weights[target] *= sampler.ratios[positions]
+            for slot, qubit in enumerate(qubits):
+                paulis = np.zeros(batch_size, dtype=np.int64)
+                paulis[slice(None) if active is None else active] = sampler.codes[
+                    positions, slot
+                ]
+                records.append((qubit, paulis))
+        return records
+
+    @pytest.mark.parametrize("case", ["one_qubit", "correlated", "biased", "masked"])
+    def test_matches_per_event_draws(self, case):
+        from repro.sim.noise import StreamPool, two_qubit_depolarizing
+        from repro.sim.trajectory_backend import iter_noise_events
+
+        channels = [depolarizing(0.2)]
+        if case in ("correlated", "masked"):
+            channels.append(two_qubit_depolarizing(0.3))
+        boost = 0.4 if case in ("biased", "masked") else None
+        samplers = [
+            PauliChannelSampler(c.pauli_decomposition(), importance_boost=boost)
+            for c in channels
+        ]
+        size = self.MEMBERS
+        self.drawn = np.zeros(size, dtype=np.int64)
+        reference_pool = StreamPool(spawn_trajectory_streams(SEED, size))
+        pool = StreamPool(spawn_trajectory_streams(SEED, size))
+        reference_weights, weights = np.ones(size), np.ones(size)
+        masks = np.random.default_rng(3)
+        for gate in range(300):
+            touched = [2, 0, 1][: 1 + gate % 3]
+            members = masks.random(size) < 0.7 if case == "masked" else None
+            expected = self._per_event(
+                samplers, touched, reference_pool, size, members, reference_weights
+            )
+            got = [
+                (qubit, np.array(paulis))
+                for qubit, paulis in iter_noise_events(
+                    samplers, touched, pool, size, members, weights
+                )
+            ]
+            assert [q for q, _ in got] == [q for q, _ in expected]
+            for (_, paulis), (_, reference) in zip(got, expected):
+                assert np.array_equal(paulis, reference)
+        assert np.array_equal(weights, reference_weights)
+        # Both pools go on with the same uniforms, and every member drew
+        # across at least one block refill.
+        assert np.array_equal(pool.draw(), reference_pool.draw())
+        assert (self.drawn > StreamPool._BLOCK).all()
+
+    def test_wide_gate_draws_more_than_one_block(self):
+        from repro.sim.noise import StreamPool
+
+        pool = StreamPool(spawn_trajectory_streams(SEED, 2))
+        reference = spawn_trajectory_streams(SEED, 2)
+        drawn = pool.draw(None, StreamPool._BLOCK + 7)
+        for member, stream in enumerate(reference):
+            expected = stream.random(StreamPool._BLOCK + 7)
+            np.testing.assert_array_equal(drawn[:, member], expected)
+
+
 # ---------------------------------------------------------------------------
 # Seeded statistical equivalence: trajectory vs density-exact
 # ---------------------------------------------------------------------------
